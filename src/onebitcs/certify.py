@@ -29,6 +29,7 @@ from .linalg import (
     as_matrix,
     as_vector,
     column_rank,
+    null_space_basis,
     stack_rows,
 )
 from .signmodel import (
@@ -134,78 +135,73 @@ def _sign_witness_margin(phi, s_plus, s_minus, pos_rows, neg_rows, zero_rows,
     Searches w with eta = phi.T @ w equal to +1 on s_plus, -1 on s_minus,
     |eta| strictly below 1 elsewhere, w strictly positive on pos_rows,
     strictly negative on neg_rows, zero on zero_rows, and unrestricted on
-    the remaining rows.
+    the remaining rows.  The zero_rows entries are exact zeros, so the LP
+    runs over the other entries of w only and scatters them back.
     """
     phi = as_matrix(phi)
     m, n = phi.shape
-    support = set(s_plus) | set(s_minus)
-    rows = []
-    strict = []
-    for j in s_plus:
-        rows.append((phi[:, j], "=", 1.0))
-    for j in s_minus:
-        rows.append((phi[:, j], "=", -1.0))
-    for j in range(n):
-        if j in support:
-            continue
-        strict.append(len(rows))
-        rows.append((phi[:, j], "<=", 1.0))
-        strict.append(len(rows))
-        rows.append((phi[:, j], ">=", -1.0))
-    for i in pos_rows:
-        e = np.zeros(m)
-        e[i] = 1.0
-        strict.append(len(rows))
-        rows.append((e, ">=", 0.0))
-    for i in neg_rows:
-        e = np.zeros(m)
-        e[i] = 1.0
-        strict.append(len(rows))
-        rows.append((e, "<=", 0.0))
-    for i in zero_rows:
-        e = np.zeros(m)
-        e[i] = 1.0
-        rows.append((e, "=", 0.0))
-    if not rows:
+    keep = np.setdiff1d(np.arange(m), np.asarray(zero_rows, dtype=int))
+    slot = np.full(m, -1)
+    slot[keep] = np.arange(keep.size)
+    eta_rows = phi[keep].T
+    support = np.array(list(s_plus) + list(s_minus), dtype=int)
+    off = np.setdiff1d(np.arange(n), support)
+    pos = slot[np.asarray(pos_rows, dtype=int)]
+    neg = slot[np.asarray(neg_rows, dtype=int)]
+    ns, no = support.size, 2 * off.size
+    r = ns + no + pos.size + neg.size
+    if r == 0:
         raise ValueError("witness system is empty; nothing to certify")
 
-    cert = lp.max_margin_feasibility(rows, strict, cap=1.0)
+    a = np.zeros((r, keep.size))
+    a[:ns] = eta_rows[support]
+    a[ns:ns + no] = np.repeat(eta_rows[off], 2, axis=0)
+    a[np.arange(ns + no, r), np.concatenate([pos, neg])] = 1.0
+    rels = ("=",) * ns + ("<=", ">=") * off.size + (">=",) * pos.size + ("<=",) * neg.size
+    b = np.zeros(r)
+    b[:ns] = [1.0] * len(s_plus) + [-1.0] * len(s_minus)
+    b[ns:ns + no] = np.tile([1.0, -1.0], off.size)
+
+    cert = lp.max_margin_feasibility(a, rels, b, range(ns, r), cap=1.0)
     if cert.witness is None:
         return False, None, cert.t_star
-    w = cert.witness
+    w = np.zeros(m)
+    w[keep] = cert.witness
     witness = RrspWitness(eta=phi.T @ w, w=w, margin=float(cert.t_star))
     return cert.t_star >= tol.margin_tol, witness, float(cert.t_star)
 
 
 def witness_is_valid(phi, witness: RrspWitness, s_plus, s_minus, pos_rows,
                      neg_rows, zero_rows, tol: TolerancePolicy | None = None) -> bool:
-    """Recheck a serialized witness by direct substitution."""
+    """Recheck a serialized witness by direct substitution.
+
+    Two fields of the policy govern the checks:
+
+    * sign_tol, the equalities: eta must match phi.T @ w, equal +1 on
+      s_plus and -1 on s_minus, and w must vanish on zero_rows, each up to
+      sign_tol.
+    * margin_tol, the strict requirements: |eta| <= 1 - slack off the
+      support, w >= slack on pos_rows and w <= -slack on neg_rows, where
+      slack is the witness's margin less margin_tol / 10.  A witness whose
+      margin reaches margin_tol thus still clears every strict requirement.
+    """
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
-    eta = phi.T @ as_vector(witness.w, phi.shape[0])
-    if float(np.max(np.abs(eta - witness.eta), initial=0.0)) > 1e-8:
-        return False
-    slack = witness.margin - 1e-9
-    for j in s_plus:
-        if abs(eta[j] - 1.0) > 1e-8:
-            return False
-    for j in s_minus:
-        if abs(eta[j] + 1.0) > 1e-8:
-            return False
-    support = set(s_plus) | set(s_minus)
-    for j in range(phi.shape[1]):
-        if j not in support and abs(eta[j]) > 1.0 - slack:
-            return False
-    for i in pos_rows:
-        if witness.w[i] < slack:
-            return False
-    for i in neg_rows:
-        if witness.w[i] > -slack:
-            return False
-    for i in zero_rows:
-        if abs(witness.w[i]) > 1e-8:
-            return False
-    return True
+    m, n = phi.shape
+    w = as_vector(witness.w, m)
+    eta = phi.T @ w
+    sp, sm, pos, neg, zero = (np.asarray(v, dtype=int) for v in
+                              (s_plus, s_minus, pos_rows, neg_rows, zero_rows))
+    off = np.setdiff1d(np.arange(n), np.concatenate([sp, sm]))
+    slack = witness.margin - pol.margin_tol / 10
+    return bool(
+        np.all(np.abs(eta - witness.eta) <= pol.sign_tol)
+        and np.all(np.abs(eta[sp] - 1.0) <= pol.sign_tol)
+        and np.all(np.abs(eta[sm] + 1.0) <= pol.sign_tol)
+        and np.all(np.abs(eta[off]) <= 1.0 - slack)
+        and np.all(w[pos] >= slack)
+        and np.all(w[neg] <= -slack)
+        and np.all(np.abs(w[zero]) <= pol.sign_tol))
 
 
 def assemble_H(phi, meas: SignMeasurement, x,
@@ -324,6 +320,14 @@ def relaxation_consistency(phi, y, mode: str,
     * "standard":         rows of j_plus and j_minus; degenerate means
                           phi @ d = 0 (zero rows join the cone as equalities)
 
+    One LP per audited row decides it.  Every cone row is sign-constrained
+    (y_r phi_r d >= 0) or zero (phi_r d = 0), so phi @ d != 0 on the cone
+    exactly when sum_r y_r phi_r d > 0, and by scaling exactly when the LP
+    with the extra row (y @ phi) d = 1 is feasible.  In "nonstandard_x" mode
+    one rank test on phi comes first: if phi has a null direction d, it lies
+    in every cone and every row's null space, so every audited row is
+    violated by it; otherwise d != 0 is the same as phi @ d != 0.
+
     Returns (holds, violations); each violation is (row, d) with d a
     nondegenerate cone direction in that row's null space.  The two
     nonstandard modes require y over {-1, +1} with at least one -1; the
@@ -346,90 +350,74 @@ def relaxation_consistency(phi, y, mode: str,
     else:
         if meas.is_zero():
             raise ValueError("standard audit is undefined for the zero measurement")
-        audited = [int(i) for i in meas.j_plus] + [int(i) for i in meas.j_minus]
-        audited.sort()
+        audited = [int(i) for i in np.flatnonzero(meas.y)]
 
-    base_rows: list[tuple[np.ndarray, str, float]] = []
-    for i in meas.j_plus:
-        base_rows.append((phi[i], ">=", 0.0))
-    for i in meas.j_minus:
-        base_rows.append((phi[i], "<=", 0.0))
-    if mode == STANDARD_COND:
-        for i in meas.j_zero:
-            base_rows.append((phi[i], "=", 0.0))
+    if mode == NONSTANDARD_X:
+        null = null_space_basis(phi, pol)
+        if null.shape[1]:
+            return False, [(i, null[:, 0].copy()) for i in audited]
 
-    violations: list[tuple[int, np.ndarray]] = []
+    # Rows: the cone y_r phi_r d >= 0 (phi_r d = 0 on zero rows), then
+    # (y @ phi) d = 1.  The audited row's cone row becomes its equality.
+    a = np.empty((m + 1, n))
+    a[:m] = np.where(meas.y == 0, 1, meas.y)[:, None] * phi
+    a[m] = meas.y @ phi
+    cone_rels = ["=" if v == 0 else ">=" for v in meas.y] + ["="]
+    b = np.zeros(m + 1)
+    b[m] = 1.0
     free = np.ones(n, dtype=bool)
+    violations: list[tuple[int, np.ndarray]] = []
     for i in audited:
-        rows = [(phi[i], "=", 0.0)] + base_rows
-        witness = None
-        if mode == NONSTANDARD_X:
-            # Nonzero d: sweep coordinates and signs.
-            for j, s in product(range(n), (1.0, -1.0)):
-                e = np.zeros(n)
-                e[j] = s
-                sol = lp.solve(lp.LPProblem.from_rows(
-                    np.zeros(n), rows + [(e, ">=", 1.0)], sense="min", free=free))
-                if sol.status == lp.OPTIMAL:
-                    witness = sol.primal.copy()
-                    break
-        else:
-            # Nonzero phi @ d: sweep measurement rows and signs.
-            for r, s in product(range(m), (1.0, -1.0)):
-                sol = lp.solve(lp.LPProblem.from_rows(
-                    np.zeros(n), rows + [(s * phi[r], ">=", 1.0)],
-                    sense="min", free=free))
-                if sol.status == lp.OPTIMAL:
-                    witness = sol.primal.copy()
-                    break
-        if witness is not None:
-            violations.append((i, witness))
+        rels = list(cone_rels)
+        rels[i] = "="
+        sol = lp.solve(lp.LPProblem(c=np.zeros(n), a=a, rels=rels, b=b, free=free))
+        if sol.status == lp.OPTIMAL:
+            violations.append((i, sol.primal.copy()))
     return len(violations) == 0, violations
 
 
-def _membership_margin(phi, meas: SignMeasurement, s_plus, s_minus,
-                       tol: TolerancePolicy) -> lp.MarginCertificate:
+def _membership_margin(phi, meas: SignMeasurement, s_plus,
+                       s_minus) -> lp.MarginCertificate:
     """Margin LP deciding whether a signed support is realized by some
     consistent signal (strict signs on the support and the signed rows,
-    exact zeros elsewhere, sup-norm capped at 1 for scale)."""
+    exact zeros elsewhere, sup-norm capped at 1 for scale).
+
+    Only the support columns S enter, with the signs s substituted:
+    z = s * x_S, maximize t subject to t <= z <= 1, y_i phi_iS (s * z) >= t
+    on the signed rows and phi_iS (s * z) = 0 on the zero rows.  Off the
+    support x is an exact zero, and z >= t >= 0 makes the lower box bound
+    implied, so the LP has |S| + 1 variables and m + 2|S| + 1 rows.  Its
+    optimum is that of the n-column formulation.  The witness is x with
+    x_S = s * z and zeros elsewhere.
+    """
     phi = as_matrix(phi)
     m, n = phi.shape
     sp = sorted(int(j) for j in s_plus)
     sm = sorted(int(j) for j in s_minus)
     if set(sp) & set(sm):
         raise ValueError("pattern has overlapping positive and negative support")
-    support = set(sp) | set(sm)
-    rows = []
-    strict = []
-    for j in sp:
-        e = np.zeros(n)
-        e[j] = 1.0
-        strict.append(len(rows))
-        rows.append((e, ">=", 0.0))
-    for j in sm:
-        e = np.zeros(n)
-        e[j] = 1.0
-        strict.append(len(rows))
-        rows.append((e, "<=", 0.0))
-    for j in range(n):
-        if j not in support:
-            e = np.zeros(n)
-            e[j] = 1.0
-            rows.append((e, "=", 0.0))
-    for i in meas.j_plus:
-        strict.append(len(rows))
-        rows.append((phi[i], ">=", 0.0))
-    for i in meas.j_minus:
-        strict.append(len(rows))
-        rows.append((phi[i], "<=", 0.0))
-    for i in meas.j_zero:
-        rows.append((phi[i], "=", 0.0))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        rows.append((e, "<=", 1.0))
-        rows.append((e, ">=", -1.0))
-    return lp.max_margin_feasibility(rows, strict, cap=1.0)
+    support = np.array(sp + sm, dtype=int)
+    s = np.array([1.0] * len(sp) + [-1.0] * len(sm))
+    k = support.size
+    rows = np.concatenate([meas.j_plus, meas.j_minus, meas.j_zero])
+    signed = meas.j_plus.size + meas.j_minus.size
+
+    a = np.zeros((m + 2 * k, k))
+    a[:k] = np.eye(k)
+    a[k:k + m] = phi[np.ix_(rows, support)] * s
+    a[k:k + signed] *= meas.y[rows[:signed], None]
+    a[k + m:] = np.eye(k)
+    rels = (">=",) * (k + signed) + ("=",) * (m - signed) + ("<=",) * k
+    b = np.zeros(m + 2 * k)
+    b[k + m:] = 1.0
+    cert = lp.max_margin_feasibility(a, rels, b, range(k + signed), cap=1.0,
+                                     free=np.zeros(k, dtype=bool))
+    if cert.witness is None:
+        return cert
+    x = np.zeros(n)
+    x[support] = s * cert.witness
+    return lp.MarginCertificate(t_star=cert.t_star, witness=x,
+                                strict_rows=cert.strict_rows)
 
 
 def membership_P(phi, y, s_plus, s_minus,
@@ -442,7 +430,7 @@ def membership_P(phi, y, s_plus, s_minus,
     """
     pol = tol or DEFAULT_TOLERANCES
     meas = y if isinstance(y, SignMeasurement) else SignMeasurement.from_y(y)
-    cert = _membership_margin(phi, meas, s_plus, s_minus, pol)
+    cert = _membership_margin(phi, meas, s_plus, s_minus)
     return cert.t_star >= pol.margin_tol
 
 
@@ -455,7 +443,7 @@ def pattern_witness(phi, y, s_plus, s_minus,
     """
     pol = tol or DEFAULT_TOLERANCES
     meas = y if isinstance(y, SignMeasurement) else SignMeasurement.from_y(y)
-    cert = _membership_margin(phi, meas, s_plus, s_minus, pol)
+    cert = _membership_margin(phi, meas, s_plus, s_minus)
     if cert.t_star < pol.margin_tol or cert.witness is None:
         return None
     return cert.witness.copy()

@@ -10,7 +10,6 @@ byte-identical; wall time is reported separately on stderr by the CLI.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +76,6 @@ class TrialRecord:
     sign_recovered: bool
     support_subset: bool
     unique_certified: bool
-    runtime_ms: float  # in-memory only; excluded from the canonical CSV
 
 
 def trial_rng(seed: int, k: int, trial_index: int) -> np.random.Generator:
@@ -136,7 +134,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
             degenerate = not np.any(y)
             meas = None if degenerate else SignMeasurement.from_y(y)
             for dec in cfg.decoders:
-                t0 = time.perf_counter()
                 status = "degenerate_measurement"
                 objective = float("nan")
                 consistent = False
@@ -165,13 +162,11 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
                             sign_rec, supp_sub = _recovery_flags(x_gd, x_star, pol)
                     else:
                         status = "domain_error"
-                ms = (time.perf_counter() - t0) * 1000.0
                 records.append(TrialRecord(
                     seed=cfg.seed, m=cfg.m, n=cfg.n, k=k, trial_index=t,
                     decoder=dec, status=status, objective=objective,
                     consistent=consistent, sign_recovered=sign_rec,
-                    support_subset=supp_sub, unique_certified=unique,
-                    runtime_ms=ms))
+                    support_subset=supp_sub, unique_certified=unique))
     return records, summarize(cfg, records)
 
 

@@ -145,40 +145,27 @@ def to_standard_form(p: LPProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     the free variables in variable order, then slack/surplus in row order.
     """
     n, r = p.n_vars, p.n_rows
-    n_free = int(np.count_nonzero(p.free))
-    n_slack = sum(1 for rel in p.rels if rel != "=")
-    n_std = n + n_free + n_slack
+    free = np.flatnonzero(p.free)
+    rels = np.array(p.rels, dtype=object)
+    ineq = np.flatnonzero(rels != "=")
+    n_free = free.size
+    n_std = n + n_free + ineq.size
 
     pos = np.arange(n)
     neg = np.full(n, -1)
-    k = n
-    for j in range(n):
-        if p.free[j]:
-            neg[j] = k
-            k += 1
+    neg[free] = n + np.arange(n_free)
     slack = np.full(r, -1)
-    for i, rel in enumerate(p.rels):
-        if rel != "=":
-            slack[i] = k
-            k += 1
+    slack[ineq] = n + n_free + np.arange(ineq.size)
 
     a = np.zeros((r, n_std))
     a[:, :n] = p.a
-    for j in range(n):
-        if neg[j] >= 0:
-            a[:, neg[j]] = -p.a[:, j]
-    for i, rel in enumerate(p.rels):
-        if rel == "<=":
-            a[i, slack[i]] = 1.0
-        elif rel == ">=":
-            a[i, slack[i]] = -1.0
+    a[:, neg[free]] = -p.a[:, free]
+    a[ineq, slack[ineq]] = np.where(rels[ineq] == "<=", 1.0, -1.0)
 
     c = np.zeros(n_std)
     sign = -1.0 if p.sense == "max" else 1.0
     c[:n] = sign * p.c
-    for j in range(n):
-        if neg[j] >= 0:
-            c[neg[j]] = -sign * p.c[j]
+    c[neg[free]] = -sign * p.c[free]
 
     fmap = StandardFormMap(
         n_vars=n, n_std=n_std, pos=pos, neg=neg, slack=slack,
@@ -375,47 +362,46 @@ class MarginCertificate:
     strict_rows: tuple[int, ...]
 
 
-def max_margin_feasibility(rows, strict, cap: float = 1.0, free=None) -> MarginCertificate:
+def max_margin_feasibility(a, rels, b, strict, cap: float = 1.0,
+                           free=None) -> MarginCertificate:
     """Maximize the common margin t of the designated strict rows.
 
-    rows is a list of (coefficients, relation, rhs); strict indexes the
-    rows whose inequalities are meant strictly.  Each strict >= row becomes
-    a.x >= rhs + t and each strict <= row a.x <= rhs - t, with 0 <= t <=
-    cap.  Variables are free unless a boolean mask says otherwise.  The
-    strict system is solvable exactly when t_star is positive beyond the
-    caller's margin tolerance.
+    The system is a x (rels) b, one relation per row of the (r, n) array a;
+    strict indexes the rows whose inequalities are meant strictly.  Each
+    strict >= row becomes a_i.x >= b_i + t and each strict <= row
+    a_i.x <= b_i - t, with 0 <= t <= cap.  Variables are free unless a
+    boolean mask says otherwise.  The strict system is solvable exactly
+    when t_star is positive beyond the caller's margin tolerance.
     """
     if cap <= 0:
         raise ValueError(f"cap must be positive, got {cap}")
-    strict = tuple(sorted(int(i) for i in strict))
-    if not rows:
+    a = as_matrix(a)
+    r, n = a.shape
+    rels = tuple(rels)
+    if r == 0:
         raise ValueError("margin system needs at least one row")
-    n = as_vector(rows[0][0]).shape[0]
+    if len(rels) != r:
+        raise ValueError(f"{len(rels)} relations for {r} rows")
+    strict = tuple(sorted(int(i) for i in strict))
     for i in strict:
-        if i < 0 or i >= len(rows):
+        if i < 0 or i >= r:
             raise ValueError(f"strict index {i} out of range")
-        if rows[i][1] == "=":
+        if rels[i] == "=":
             raise ValueError(f"row {i} is an equality and cannot be strict")
 
-    strict_set = set(strict)
-    ext_rows = []
-    for i, (coeffs, rel, rhs) in enumerate(rows):
-        a = as_vector(coeffs, n)
-        tcol = 0.0
-        if i in strict_set:
-            tcol = -1.0 if rel == ">=" else 1.0
-        ext_rows.append((np.concatenate([a, [tcol]]), rel, float(rhs)))
-    ext_rows.append((np.concatenate([np.zeros(n), [1.0]]), "<=", float(cap)))
-
-    if free is None:
-        fmask = np.ones(n + 1, dtype=bool)
-    else:
-        fmask = np.concatenate([np.array(free, dtype=bool), [False]])
-    fmask[-1] = False  # t >= 0
+    # Columns: the n variables, then t; the last row is t <= cap.
+    ext = np.zeros((r + 1, n + 1))
+    ext[:r, :n] = a
+    idx = np.array(strict, dtype=int)
+    ext[idx, n] = [-1.0 if rels[i] == ">=" else 1.0 for i in strict]
+    ext[r, n] = 1.0
+    fmask = np.zeros(n + 1, dtype=bool)
+    fmask[:n] = True if free is None else np.asarray(free, dtype=bool)
 
     c = np.zeros(n + 1)
     c[-1] = 1.0
-    p = LPProblem.from_rows(c, ext_rows, sense="max", free=fmask)
+    p = LPProblem(c=c, a=ext, rels=rels + ("<=",),
+                  b=np.append(as_vector(b, r), float(cap)), sense="max", free=fmask)
     sol = solve(p)
     if sol.status == INFEASIBLE:
         return MarginCertificate(t_star=-1.0, witness=None, strict_rows=strict)

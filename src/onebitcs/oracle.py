@@ -248,22 +248,18 @@ def l0_min(phi, y, k_max: int | None = None,
             f"support sweep beyond budget: needs columns <= {L0_MAX_COLS} "
             f"or sparsity cap <= {L0_MAX_SPARSITY}")
 
+    # Rows: j_plus (>= 1), j_minus (<= -1), then j_zero (= 0).
+    order = np.concatenate([meas.j_plus, meas.j_minus, meas.j_zero])
+    signed = meas.j_plus.size + meas.j_minus.size
+    rels = (">=",) * meas.j_plus.size + ("<=",) * meas.j_minus.size + ("=",) * meas.j_zero.size
+    b = meas.y[order].astype(float)
+    strict = range(signed)
     for size in range(1, min(k_max, n) + 1):
         hits = []
         for supp in combinations(range(n), size):
             cols = np.array(supp, dtype=int)
-            sub = phi[:, cols]
-            rows = []
-            strict = []
-            for i in meas.j_plus:
-                strict.append(len(rows))
-                rows.append((sub[i], ">=", 1.0))
-            for i in meas.j_minus:
-                strict.append(len(rows))
-                rows.append((sub[i], "<=", -1.0))
-            for i in meas.j_zero:
-                rows.append((sub[i], "=", 0.0))
-            cert = lp.max_margin_feasibility(rows, strict, cap=1.0)
+            cert = lp.max_margin_feasibility(phi[np.ix_(order, cols)], rels, b,
+                                             strict, cap=1.0)
             if cert.t_star < 0.0:
                 continue
             x = np.zeros(n)
@@ -305,25 +301,16 @@ def _support_realizable(phi, y_arr: np.ndarray, cols: np.ndarray,
     """Margin LP: is y_arr the exact standard sign of phi restricted to
     cols at some coefficient vector?  Zero rows are equalities."""
     meas = SignMeasurement.from_y(y_arr)
-    sub = phi[:, cols]
-    size = cols.size
-    rows = []
-    strict = []
-    for i in meas.j_plus:
-        strict.append(len(rows))
-        rows.append((sub[i], ">=", 0.0))
-    for i in meas.j_minus:
-        strict.append(len(rows))
-        rows.append((sub[i], "<=", 0.0))
-    for i in meas.j_zero:
-        rows.append((sub[i], "=", 0.0))
-    for j in range(size):
-        e = np.zeros(size)
-        e[j] = 1.0
-        rows.append((e, "<=", 1.0))
-        rows.append((e, ">=", -1.0))
-    cert = lp.max_margin_feasibility(rows, strict, cap=1.0)
-    if not strict:
+    order = np.concatenate([meas.j_plus, meas.j_minus, meas.j_zero])
+    signed = meas.j_plus.size + meas.j_minus.size
+    # Sign rows (j_plus >= 0, j_minus <= 0, j_zero = 0), then the box
+    # -1 <= z_j <= 1 as two rows per coefficient.
+    a = np.vstack([phi[np.ix_(order, cols)], np.repeat(np.eye(cols.size), 2, axis=0)])
+    rels = ((">=",) * meas.j_plus.size + ("<=",) * meas.j_minus.size
+            + ("=",) * meas.j_zero.size + ("<=", ">=") * cols.size)
+    b = np.concatenate([np.zeros(order.size), np.tile([1.0, -1.0], cols.size)])
+    cert = lp.max_margin_feasibility(a, rels, b, range(signed), cap=1.0)
+    if not signed:
         return cert.t_star >= 0.0
     return cert.t_star >= tol.margin_tol
 

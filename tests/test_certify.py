@@ -1,5 +1,7 @@
 """Uniqueness certificates, dual witnesses, and relaxation audits."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from onebitcs.certify import (
     NONSTANDARD_X,
     STANDARD_COND,
     SUFFICIENT,
+    RrspWitness,
     assemble_H,
     membership_P,
     patterns_of_measurement,
@@ -21,7 +24,7 @@ from onebitcs.certify import (
     witness_is_valid,
 )
 from onebitcs.decoders import one_bit_bp
-from onebitcs.linalg import column_rank
+from onebitcs.linalg import TolerancePolicy, column_rank
 from onebitcs.signmodel import (
     NONSTANDARD,
     SignMeasurement,
@@ -99,10 +102,22 @@ class TestUniquenessCertificate:
         assert witness_is_valid(np.eye(2), w, rep.s_plus, rep.s_minus,
                                 [0], [1], [])
         # corrupting the witness must fail the recheck
-        from onebitcs.certify import RrspWitness
         bad = RrspWitness(eta=w.eta.copy(), w=-w.w, margin=w.margin)
         assert not witness_is_valid(np.eye(2), bad, rep.s_plus, rep.s_minus,
                                     [0], [1], [])
+
+    def test_witness_recheck_reads_the_policy(self):
+        """sign_tol governs the equalities, margin_tol the strict checks."""
+        rep = uniqueness_certificate(np.eye(2), np.array([1, -1]), np.array([1., -1.]))
+        w = rep.witness
+        args = (rep.s_plus, rep.s_minus, [0], [1], [])
+        shifted = RrspWitness(eta=w.eta + 1e-7, w=w.w, margin=w.margin)
+        assert not witness_is_valid(np.eye(2), shifted, *args)
+        assert witness_is_valid(np.eye(2), shifted, *args, tol=TolerancePolicy(sign_tol=1e-6))
+        overstated = RrspWitness(eta=w.eta, w=w.w, margin=w.margin + 1e-7)
+        assert not witness_is_valid(np.eye(2), overstated, *args)
+        assert witness_is_valid(np.eye(2), overstated, *args,
+                                tol=TolerancePolicy(margin_tol=1e-5))
 
     def test_duplicate_active_row_keeps_verdict(self):
         """Appending a copy of an already-active row never flips the
@@ -163,6 +178,23 @@ class TestEmpiricalUniquenessAgreement:
         assert disagree <= max(1, (agree + disagree) // 50)
 
 
+def _sweep_finds_direction(phi, meas, i, mode):
+    """Reference audit of row i by one LP per coordinate and sign: d_j >= 1
+    or -d_j >= 1 in "nonstandard_x" mode, s * phi_r d >= 1 otherwise."""
+    m, n = phi.shape
+    rows = [(phi[i], "=", 0.0)]
+    rows += [(phi[r], ">=", 0.0) for r in meas.j_plus]
+    rows += [(phi[r], "<=", 0.0) for r in meas.j_minus]
+    rows += [(phi[r], "=", 0.0) for r in meas.j_zero]
+    normals = np.eye(n) if mode == NONSTANDARD_X else phi
+    for v, s in product(normals, (1.0, -1.0)):
+        p = lp.LPProblem.from_rows(np.zeros(n), rows + [(s * v, ">=", 1.0)],
+                                   free=np.ones(n, dtype=bool))
+        if lp.solve(p).status == lp.OPTIMAL:
+            return True
+    return False
+
+
 class TestRelaxationAudit:
     def test_flagship_nonstandard_violations(self):
         for mode in (NONSTANDARD_X, NONSTANDARD_PHIX):
@@ -190,6 +222,48 @@ class TestRelaxationAudit:
         # the witness annihilates row 0 while staying in the cone
         assert abs(d[0]) <= 1e-8
         assert d[1] <= 1e-8
+
+    def test_one_lp_per_audited_row(self, monkeypatch):
+        """Each audited row costs one LP, and the verdict per row matches the
+        coordinate sweep (s * phi_r d >= 1 over every row r and sign s)."""
+        solves = []
+        real_solve = lp.solve
+        monkeypatch.setattr(lp, "solve", lambda p: solves.append(p) or real_solve(p))
+        rng = np.random.default_rng(11)
+        cases = [(PHI, Y, NONSTANDARD_PHIX), (np.eye(2), np.array([1, -1]), STANDARD_COND)]
+        while len(cases) < 30:
+            m = int(rng.integers(2, 6))
+            n = int(rng.integers(1, m + 1))
+            phi = rng.normal(size=(m, n))
+            y = sign_standard(phi @ rng.normal(size=n))
+            if rng.random() < 0.3:
+                y[rng.integers(0, m)] = 0
+            meas = SignMeasurement.from_y(y)
+            if meas.j_zero.size == 0 and meas.j_minus.size:
+                cases.append((phi, y, (NONSTANDARD_X, NONSTANDARD_PHIX)[len(cases) % 2]))
+            elif not meas.is_zero():
+                cases.append((phi, y, STANDARD_COND))
+        for phi, y, mode in cases:
+            meas = SignMeasurement.from_y(y)
+            audited = meas.j_minus if mode != STANDARD_COND else np.flatnonzero(y)
+            solves.clear()
+            holds, violations = relaxation_consistency(phi, y, mode)
+            assert len(solves) == audited.size
+            solves.clear()
+            expected = [int(i) for i in audited if _sweep_finds_direction(phi, meas, i, mode)]
+            assert [i for i, _ in violations] == expected
+            assert holds == (not expected)
+
+    def test_rank_deficient_x_mode_uses_null_direction(self):
+        rng = np.random.default_rng(3)
+        phi = rng.normal(size=(3, 5))
+        y = np.array([1, -1, -1])
+        holds, violations = relaxation_consistency(phi, y, NONSTANDARD_X)
+        assert not holds
+        assert [i for i, _ in violations] == [1, 2]
+        for _, d in violations:
+            assert np.linalg.norm(d) > 0.5
+            assert np.max(np.abs(phi @ d)) <= 1e-9
 
     def test_mode_preconditions(self):
         with pytest.raises(ValueError):

@@ -154,46 +154,50 @@ def test_solver_agrees_with_vertex_oracle():
 
 class TestMarginFeasibility:
     def test_strict_interval_midpoint(self):
-        rows = [(np.array([1.0]), ">=", 0.0), (np.array([1.0]), "<=", 1.0)]
-        cert = lp.max_margin_feasibility(rows, strict=[0, 1], cap=1.0)
+        cert = lp.max_margin_feasibility([[1.0], [1.0]], (">=", "<="), [0.0, 1.0],
+                                         strict=[0, 1], cap=1.0)
         assert cert.t_star == pytest.approx(0.5)
         np.testing.assert_allclose(cert.witness, [0.5], atol=1e-9)
 
     def test_one_sided_strictness_hits_cap(self):
-        rows = [(np.array([1.0]), ">=", 0.0), (np.array([1.0]), "<=", 1.0)]
-        cert = lp.max_margin_feasibility(rows, strict=[0], cap=1.0)
+        cert = lp.max_margin_feasibility([[1.0], [1.0]], (">=", "<="), [0.0, 1.0],
+                                         strict=[0], cap=1.0)
         assert cert.t_star == pytest.approx(1.0)
 
     def test_strictness_clashes_with_equality(self):
         """w = 0 with w > 0 required: the margin collapses to zero, below
         every positive threshold, so the strict system is judged infeasible
         while the relaxed LP itself stays feasible."""
-        rows = [(np.array([1.0]), "=", 0.0), (np.array([1.0]), ">=", 0.0)]
-        cert = lp.max_margin_feasibility(rows, strict=[1], cap=1.0)
+        cert = lp.max_margin_feasibility([[1.0], [1.0]], ("=", ">="), [0.0, 0.0],
+                                         strict=[1], cap=1.0)
         assert cert.t_star == pytest.approx(0.0, abs=1e-12)
         assert cert.t_star < 1e-8
         np.testing.assert_allclose(cert.witness, [0.0], atol=1e-12)
 
     def test_infeasible_marker(self):
-        rows = [(np.array([1.0]), "=", 0.0), (np.array([1.0]), ">=", 1.0)]
-        cert = lp.max_margin_feasibility(rows, strict=[1], cap=1.0)
+        cert = lp.max_margin_feasibility([[1.0], [1.0]], ("=", ">="), [0.0, 1.0],
+                                         strict=[1], cap=1.0)
         assert cert.t_star == -1.0
         assert cert.witness is None
 
     def test_margin_caps_at_one(self):
         # eta = w on the identity: support row pinned, off-support strict
-        rows = [
-            (np.array([1.0, 0.0]), "=", 1.0),
-            (np.array([0.0, 1.0]), "<=", 1.0),
-            (np.array([0.0, 1.0]), ">=", -1.0),
-        ]
-        cert = lp.max_margin_feasibility(rows, strict=[1, 2], cap=1.0)
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        cert = lp.max_margin_feasibility(a, ("=", "<=", ">="), [1.0, 1.0, -1.0],
+                                         strict=[1, 2], cap=1.0)
         assert cert.t_star == pytest.approx(1.0)
 
     def test_rejects_strict_equality_rows(self):
-        rows = [(np.array([1.0]), "=", 0.0)]
         with pytest.raises(ValueError):
-            lp.max_margin_feasibility(rows, strict=[0])
+            lp.max_margin_feasibility([[1.0]], ("=",), [0.0], strict=[0])
+
+    def test_nonnegative_mask(self):
+        """With x >= 0 declared, x <= -t cannot hold for any t >= 0 beyond 0."""
+        cert = lp.max_margin_feasibility([[1.0]], ("<=",), [0.0], strict=[0],
+                                         free=[False])
+        assert cert.t_star == pytest.approx(0.0, abs=1e-12)
+        free = lp.max_margin_feasibility([[1.0]], ("<=",), [0.0], strict=[0])
+        assert free.t_star == pytest.approx(1.0)
 
 
 class TestAlternativeOptimum:
