@@ -175,9 +175,16 @@ def relaxation_gd(phi, y, tol: TolerancePolicy | None = None
                   ) -> tuple[np.ndarray | None, float, bool]:
     """Legacy sign-cone relaxation: min l1 over Y phi x >= 0, sum(Y phi x) = m.
 
+    Solved as one LP over x = p - q with p, q >= 0: minimize 1'(p + q)
+    subject to the m rows Y phi (p - q) >= 0 and the one row
+    sum_i (Y phi (p - q))_i = m.  For an m x n phi that is m + 1 rows over
+    2n variables (2n + m standard columns with the surpluses).
+
     Requires y over {-1, +1} (the relaxation has no zero-row notion).
     Returns (minimizer, l1 objective, consistency flag); an infeasible
-    relaxation returns (None, inf, False).
+    relaxation returns (None, inf, False).  Raises RuntimeError when the
+    LP ends in any other non-optimal status (a simplex stall), so a
+    breakdown is never reported as infeasibility.
     """
     phi = as_matrix(phi)
     m, n = phi.shape
@@ -187,35 +194,19 @@ def relaxation_gd(phi, y, tol: TolerancePolicy | None = None
     if not np.all(np.isin(yv, (-1, 1))):
         raise ValueError("relaxation needs entries in {-1, +1} only")
 
-    yphi = yv[:, None] * phi
-    n_cols = 2 * n  # x free, then t bounds
-    rows = []
-    for j in range(n):
-        cj = np.zeros(n_cols)
-        cj[j] = 1.0
-        cj[n + j] = -1.0
-        rows.append((cj, "<=", 0.0))  # x_j - t_j <= 0
-        cj2 = np.zeros(n_cols)
-        cj2[j] = -1.0
-        cj2[n + j] = -1.0
-        rows.append((cj2, "<=", 0.0))  # -x_j - t_j <= 0
-    for i in range(m):
-        ci = np.zeros(n_cols)
-        ci[:n] = yphi[i]
-        rows.append((ci, ">=", 0.0))
-    csum = np.zeros(n_cols)
-    csum[:n] = yphi.sum(axis=0)
-    rows.append((csum, "=", float(m)))
-
-    c = np.zeros(n_cols)
-    c[n:] = 1.0
-    free = np.zeros(n_cols, dtype=bool)
-    free[:n] = True
-    problem = lp.LPProblem.from_rows(c, rows, sense="min", free=free)
+    a = np.empty((m + 1, 2 * n))
+    a[:m, :n] = yv[:, None] * phi
+    a[m, :n] = a[:m, :n].sum(axis=0)
+    a[:, n:] = -a[:, :n]
+    b = np.zeros(m + 1)
+    b[m] = float(m)
+    problem = lp.LPProblem(c=np.ones(2 * n), a=a, rels=(">=",) * m + ("=",), b=b)
     sol = lp.solve(problem)
-    if sol.status != lp.OPTIMAL:
+    if sol.status == lp.INFEASIBLE:
         return None, math.inf, False
-    x = sol.primal[:n].copy()
+    if sol.status != lp.OPTIMAL:
+        raise RuntimeError(f"relaxation LP did not solve cleanly: status {sol.status}")
+    x = sol.primal[:n] - sol.primal[n:]
     consistent = bool(np.array_equal(sign_standard(phi @ x, tol), yv))
     return x, float(np.sum(np.abs(x))), consistent
 

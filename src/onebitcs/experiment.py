@@ -121,7 +121,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
     Per trial: draw the matrix and a k-sparse standard-normal signal from
     the trial stream, measure with the standard sign, then run each
     configured decoder.  The consistent decoder's output additionally gets
-    a uniqueness certificate.
+    a uniqueness certificate.  A relaxation LP that breaks down raises
+    RuntimeError (see relaxation_gd) rather than being recorded.
     """
     pol = cfg.tolerances
     records: list[TrialRecord] = []

@@ -237,11 +237,10 @@ def _simplex_standard(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict:
     Returns a dict with status, z, y (row duals), basis, ray, phase1_gap.
     Artificial variables are barred from entering in both phases; rows
     whose artificial cannot be driven out after phase 1 are redundant and
-    stay inert.
+    stay inert.  Rows with b_i < 0 are negated in place, so a and b are
+    overwritten; pass arrays the caller no longer needs.
     """
     m, n = a.shape
-    a = a.copy()
-    b = b.copy()
     flip = b < 0
     a[flip] *= -1.0
     b[flip] *= -1.0

@@ -300,14 +300,16 @@ def _support_realizable(phi, y_arr: np.ndarray, cols: np.ndarray,
                         tol: TolerancePolicy) -> bool:
     """Margin LP: is y_arr the exact standard sign of phi restricted to
     cols at some coefficient vector?  Zero rows are equalities."""
-    meas = SignMeasurement.from_y(y_arr)
-    order = np.concatenate([meas.j_plus, meas.j_minus, meas.j_zero])
-    signed = meas.j_plus.size + meas.j_minus.size
+    j_plus = np.flatnonzero(y_arr > 0)
+    j_minus = np.flatnonzero(y_arr < 0)
+    j_zero = np.flatnonzero(y_arr == 0)
+    order = np.concatenate([j_plus, j_minus, j_zero])
+    signed = j_plus.size + j_minus.size
     # Sign rows (j_plus >= 0, j_minus <= 0, j_zero = 0), then the box
     # -1 <= z_j <= 1 as two rows per coefficient.
     a = np.vstack([phi[np.ix_(order, cols)], np.repeat(np.eye(cols.size), 2, axis=0)])
-    rels = ((">=",) * meas.j_plus.size + ("<=",) * meas.j_minus.size
-            + ("=",) * meas.j_zero.size + ("<=", ">=") * cols.size)
+    rels = ((">=",) * j_plus.size + ("<=",) * j_minus.size
+            + ("=",) * j_zero.size + ("<=", ">=") * cols.size)
     b = np.concatenate([np.zeros(order.size), np.tile([1.0, -1.0], cols.size)])
     cert = lp.max_margin_feasibility(a, rels, b, range(signed), cap=1.0)
     if not signed:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from onebitcs import lp
 from onebitcs.cli import main
 
 FLAGSHIP = "2 4\n2 -1 0 2\n-1 1 1 0\n"
@@ -35,6 +36,13 @@ def test_decode_gd(flagship_files, capsys):
     assert main(["decode", "--matrix", mat, "--y", yvec, "--decoder", "gd"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["objective"] == pytest.approx(2.0 / 3.0, abs=1e-8)
+
+
+def test_solver_breakdown_is_an_error(flagship_files, monkeypatch, capsys):
+    monkeypatch.setattr(lp, "solve", lambda problem: lp.LPSolution(status=lp.STALLED))
+    mat, yvec = flagship_files
+    assert main(["decode", "--matrix", mat, "--y", yvec, "--decoder", "gd"]) == 2
+    assert "did not solve cleanly" in capsys.readouterr().err
 
 
 def test_decode_infeasible_note(tmp_path, capsys):

@@ -191,3 +191,31 @@ class TestRelaxation:
             u = y * (phi @ scaled)
             assert (u >= -1e-8).all()
             assert u.sum() == pytest.approx(m, abs=1e-8)
+
+
+def test_stalled_relaxation_raises(monkeypatch):
+    """A simplex breakdown is reported, not mislabelled as infeasibility."""
+    monkeypatch.setattr(lp, "solve", lambda problem: lp.LPSolution(status=lp.STALLED))
+    with pytest.raises(RuntimeError, match="status stalled"):
+        relaxation_gd(PHI, Y)
+
+
+def test_relaxation_lp_has_m_plus_one_rows(monkeypatch):
+    """One cone row per measurement and the normalization row, over x = p - q."""
+    seen = []
+    real_solve = lp.solve
+
+    def spy(problem):
+        seen.append(problem)
+        return real_solve(problem)
+
+    monkeypatch.setattr(lp, "solve", spy)
+    relaxation_gd(PHI, Y)
+    (problem,) = seen
+    m, n = PHI.shape
+    assert problem.a.shape == (m + 1, 2 * n)
+    assert problem.rels == (">=",) * m + ("=",)
+    assert not problem.free.any()
+    np.testing.assert_array_equal(problem.a[:, n:], -problem.a[:, :n])
+    _, a, _, _ = lp.to_standard_form(problem)
+    assert a.shape == (m + 1, 2 * n + m)

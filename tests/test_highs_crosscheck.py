@@ -1,9 +1,10 @@
-"""Support-sized margin LPs against n-column formulations solved by HiGHS.
+"""Package LPs against formulations solved by HiGHS.
 
 The membership LP runs over the support columns only, and l0_min over the
 columns of each candidate support.  Both must give the optimum of the full
 formulation, which HiGHS (scipy.optimize.linprog) solves independently of
-the package's simplex.
+the package's simplex.  The sign-cone relaxation must reach the HiGHS
+optimum of the same p - q program on seeded experiment instances.
 """
 
 import math
@@ -13,8 +14,10 @@ import numpy as np
 import pytest
 
 from onebitcs.certify import _membership_margin
+from onebitcs.decoders import relaxation_gd
+from onebitcs.experiment import draw_matrix, draw_signal, trial_rng
 from onebitcs.oracle import l0_min
-from onebitcs.signmodel import SignMeasurement
+from onebitcs.signmodel import SignMeasurement, sign_standard
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -110,3 +113,39 @@ def test_membership_and_l0_agree_with_highs():
             assert np.count_nonzero(x) <= len(supp)
         assert l0_min(phi, y).value == full_l0(phi, y)
     assert row_sparse_with_zeros >= 5
+
+
+# (experiment seed, k, trial) at 20 x 40: a seeded grid, plus four trials
+# on which the earlier 2n-bound-row encoding of the relaxation stalled in
+# phase 1 although the LP is feasible.
+RELAXATION_TRIALS = (
+    [(1412000 + s, k, t) for s in range(4) for k in (1, 2, 3) for t in range(3)]
+    + [(1412000, 1, 8), (1412000, 1, 24), (1412001, 1, 3), (1412001, 1, 16)]
+)
+
+
+def highs_relaxation(phi, y):
+    """min 1'(p + q) over p, q >= 0 with Y phi (p - q) >= 0 and
+    sum(Y phi (p - q)) = m, by HiGHS."""
+    m, n = phi.shape
+    yphi = y[:, None] * phi
+    a = np.hstack([yphi, -yphi])
+    res = linprog(np.ones(2 * n), A_ub=-a, b_ub=np.zeros(m),
+                  A_eq=a.sum(axis=0)[None, :], b_eq=[float(m)],
+                  bounds=[(0.0, None)] * (2 * n), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def test_relaxation_agrees_with_highs():
+    for seed, k, t in RELAXATION_TRIALS:
+        rng = trial_rng(seed, k, t)
+        phi = draw_matrix(rng, 20, 40, "gaussian")
+        y = sign_standard(phi @ draw_signal(rng, 40, k))
+        assert np.all(y != 0)
+        x, obj, _ = relaxation_gd(phi, y)
+        assert x is not None, (seed, k, t)
+        assert obj == pytest.approx(highs_relaxation(phi, y), rel=1e-6), (seed, k, t)
+        v = y * (phi @ x)
+        assert np.all(v >= -1e-9 * (1.0 + np.abs(phi) @ np.abs(x))), (seed, k, t)
+        assert v.sum() == pytest.approx(20.0, rel=1e-9), (seed, k, t)
