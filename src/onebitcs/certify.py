@@ -6,7 +6,9 @@ Three layers:
   unique l1 minimizer (range-space property of the transposed matrix at
   that point, plus full column rank of the boundary submatrix)?
 * per measurement: do such witnesses exist for every/some sign pattern a
-  consistent signal can have, restricted to sparsity k?
+  consistent signal can have, restricted to sparsity k?  Witness and rank
+  test run under a restriction pair (t1, t2); the pointwise layer is the
+  same test at the point's own pair, the inactive signed rows.
 * per matrix: quantified additionally over every k-sparse measurement the
   matrix can produce.
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +33,6 @@ from .linalg import (
     as_vector,
     column_rank,
     null_space_basis,
-    stack_rows,
 )
 from .signmodel import (
     ActiveSets,
@@ -100,7 +102,11 @@ class RrspCheck:
 
 @dataclass
 class CertReport:
-    """Uniqueness certificate at a specific feasible signal."""
+    """Uniqueness certificate at a specific feasible signal.
+
+    witness_rows holds the (pos, neg, pinned) row lists the witness was
+    built for, in the argument order of witness_is_valid.
+    """
 
     unique: bool
     h_full_rank: bool
@@ -112,6 +118,7 @@ class CertReport:
     active: ActiveSets
     s_plus: tuple[int, ...]
     s_minus: tuple[int, ...]
+    witness_rows: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     notes: tuple[str, ...]
 
 
@@ -128,30 +135,63 @@ class RrspEvidence:
     note: str
 
 
-def _sign_witness_margin(phi, s_plus, s_minus, pos_rows, neg_rows, zero_rows,
+class _Roles(NamedTuple):
+    """Witness row roles under a restriction pair (t1, t2).
+
+    pos: rows of j_plus outside t1, whose witness entry is strictly
+    positive; neg: rows of j_minus outside t2, strictly negative; pinned:
+    the rows of t1 and t2, whose entry is zero; free: j_zero, unrestricted.
+    """
+
+    pos: np.ndarray
+    neg: np.ndarray
+    pinned: np.ndarray
+    free: np.ndarray
+
+
+def _row_roles(meas: SignMeasurement, t1, t2) -> _Roles:
+    pinned = np.zeros(meas.m, dtype=bool)
+    for t in (t1, t2):
+        pinned[np.asarray(t, dtype=int)] = True
+    return _Roles(pos=meas.j_plus[~pinned[meas.j_plus]],
+                  neg=meas.j_minus[~pinned[meas.j_minus]],
+                  pinned=np.flatnonzero(pinned), free=meas.j_zero)
+
+
+def _columns(s_plus, s_minus) -> np.ndarray:
+    return np.array(list(s_plus) + list(s_minus), dtype=int)
+
+
+def _kept_stack(phi: np.ndarray, roles: _Roles, s_plus, s_minus) -> np.ndarray:
+    """Rows that keep a witness role (pos, neg, then free) on the columns
+    s_plus then s_minus: the matrix whose full column rank the test needs."""
+    rows = np.concatenate([roles.pos, roles.neg, roles.free])
+    return phi[np.ix_(rows, _columns(s_plus, s_minus))]
+
+
+def _sign_witness_margin(phi: np.ndarray, s_plus, s_minus, roles: _Roles,
                          tol: TolerancePolicy) -> tuple[bool, RrspWitness | None, float]:
-    """Best-margin dual witness for a signed support under row sign constraints.
+    """Best-margin dual witness for a signed support under row roles.
 
     Searches w with eta = phi.T @ w equal to +1 on s_plus, -1 on s_minus,
-    |eta| strictly below 1 elsewhere, w strictly positive on pos_rows,
-    strictly negative on neg_rows, zero on zero_rows, and unrestricted on
-    the remaining rows.  The zero_rows entries are exact zeros, so the LP
-    runs over the other entries of w only and scatters them back.
+    |eta| strictly below 1 elsewhere, w strictly positive on roles.pos,
+    strictly negative on roles.neg, zero on roles.pinned, and unrestricted
+    on roles.free.  The pinned entries are exact zeros, so the LP runs over
+    the other entries of w only and scatters them back.
     """
-    phi = as_matrix(phi)
     m, n = phi.shape
-    keep = np.setdiff1d(np.arange(m), np.asarray(zero_rows, dtype=int))
+    support = _columns(s_plus, s_minus)
+    if support.size == 0:
+        raise ValueError("dual-witness test needs a nonzero signal")
+    keep = np.setdiff1d(np.arange(m), roles.pinned)
     slot = np.full(m, -1)
     slot[keep] = np.arange(keep.size)
     eta_rows = phi[keep].T
-    support = np.array(list(s_plus) + list(s_minus), dtype=int)
     off = np.setdiff1d(np.arange(n), support)
-    pos = slot[np.asarray(pos_rows, dtype=int)]
-    neg = slot[np.asarray(neg_rows, dtype=int)]
+    pos = slot[roles.pos]
+    neg = slot[roles.neg]
     ns, no = support.size, 2 * off.size
     r = ns + no + pos.size + neg.size
-    if r == 0:
-        raise ValueError("witness system is empty; nothing to certify")
 
     a = np.zeros((r, keep.size))
     a[:ns] = eta_rows[support]
@@ -204,6 +244,32 @@ def witness_is_valid(phi, witness: RrspWitness, s_plus, s_minus, pos_rows,
         and np.all(np.abs(w[zero]) <= pol.sign_tol))
 
 
+def _at_point(phi: np.ndarray, meas: SignMeasurement, x,
+              pol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray, ActiveSets, _Roles]:
+    """Signed support, active sets and witness row roles at a feasible x.
+
+    The point's own restriction pair pins the inactive signed rows: t1 is
+    the inactive rows of j_plus, t2 the inactive rows of j_minus.
+    """
+    x = as_vector(x, phi.shape[1])
+    sp, sm = signed_support(x, pol)
+    acts = active_sets(phi, x, meas, pol)
+    return sp, sm, acts, _row_roles(meas, acts.inactive_plus, acts.inactive_minus)
+
+
+def _cert_matrix(phi: np.ndarray, roles: _Roles, sp, sm) -> CertMatrix:
+    row_labels = tuple(
+        [("plus_active", int(i)) for i in roles.pos]
+        + [("minus_active", int(i)) for i in roles.neg]
+        + [("zero", int(i)) for i in roles.free]
+    )
+    col_labels = tuple(
+        [("plus", int(j)) for j in sp] + [("minus", int(j)) for j in sm]
+    )
+    return CertMatrix(h=_kept_stack(phi, roles, sp, sm), row_labels=row_labels,
+                      col_labels=col_labels)
+
+
 def assemble_H(phi, meas: SignMeasurement, x,
                tol: TolerancePolicy | None = None) -> CertMatrix:
     """Boundary submatrix at a feasible signal.
@@ -213,25 +279,8 @@ def assemble_H(phi, meas: SignMeasurement, x,
     """
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
-    x = as_vector(x, phi.shape[1])
-    acts = active_sets(phi, x, meas, pol)
-    sp, sm = signed_support(x, pol)
-    yset = meas.y
-    act_plus = [int(i) for i in acts.active if yset[i] == 1]
-    act_minus = [int(i) for i in acts.active if yset[i] == -1]
-    row_ids = act_plus + act_minus + [int(i) for i in meas.j_zero]
-    col_ids = [int(j) for j in sp] + [int(j) for j in sm]
-    h = phi[np.ix_(np.array(row_ids, dtype=int), np.array(col_ids, dtype=int))] \
-        if row_ids and col_ids else np.zeros((len(row_ids), len(col_ids)))
-    row_labels = tuple(
-        [("plus_active", i) for i in act_plus]
-        + [("minus_active", i) for i in act_minus]
-        + [("zero", int(i)) for i in meas.j_zero]
-    )
-    col_labels = tuple(
-        [("plus", int(j)) for j in sp] + [("minus", int(j)) for j in sm]
-    )
-    return CertMatrix(h=h, row_labels=row_labels, col_labels=col_labels)
+    sp, sm, _, roles = _at_point(phi, meas, x, pol)
+    return _cert_matrix(phi, roles, sp, sm)
 
 
 def rrsp_at(phi, meas: SignMeasurement, x,
@@ -243,18 +292,8 @@ def rrsp_at(phi, meas: SignMeasurement, x,
     """
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
-    x = as_vector(x, phi.shape[1])
-    sp, sm = signed_support(x, pol)
-    if sp.size + sm.size == 0:
-        raise ValueError("dual-witness test needs a nonzero signal")
-    acts = active_sets(phi, x, meas, pol)
-    yv = meas.y
-    pos_rows = [int(i) for i in acts.active if yv[i] == 1]
-    neg_rows = [int(i) for i in acts.active if yv[i] == -1]
-    zero_rows = [int(i) for i in acts.inactive_plus] + [int(i) for i in acts.inactive_minus]
-    holds, witness, margin = _sign_witness_margin(
-        phi, [int(j) for j in sp], [int(j) for j in sm],
-        pos_rows, neg_rows, zero_rows, pol)
+    sp, sm, _, roles = _at_point(phi, meas, x, pol)
+    holds, witness, margin = _sign_witness_margin(phi, sp, sm, roles, pol)
     return RrspCheck(holds=holds, margin=margin, witness=witness)
 
 
@@ -265,36 +304,37 @@ def uniqueness_certificate(phi, y, x,
     x must satisfy the decoding constraints (the check is at the given
     point; optimality of x is the caller's concern, e.g. by producing x
     with the decoder).  Uniqueness holds exactly when the dual witness
-    exists and the boundary submatrix has full column rank.
+    exists and the boundary submatrix has full column rank: the
+    restriction-pair test of the sweeps at the point's own pair.
     """
     pol = tol or DEFAULT_TOLERANCES
     meas = y if isinstance(y, SignMeasurement) else SignMeasurement.from_y(y)
     phi = as_matrix(phi)
-    x = as_vector(x, phi.shape[1])
-    cm = assemble_H(phi, meas, x, pol)
+    sp, sm, acts, roles = _at_point(phi, meas, x, pol)
+    cm = _cert_matrix(phi, roles, sp, sm)
     rank = column_rank(cm.h, pol)
     h_full = rank == cm.h.shape[1]
-    check = rrsp_at(phi, meas, x, pol)
-    sp, sm = signed_support(x, pol)
-    acts = active_sets(phi, x, meas, pol)
+    holds, witness, margin = _sign_witness_margin(phi, sp, sm, roles, pol)
     notes = []
     if not h_full:
         notes.append(
             f"boundary submatrix rank {rank} < {cm.h.shape[1]} columns")
-    if not check.holds:
-        notes.append(f"dual witness margin {check.margin:.3g} below "
+    if not holds:
+        notes.append(f"dual witness margin {margin:.3g} below "
                      f"{pol.margin_tol:.3g}")
     return CertReport(
-        unique=bool(h_full and check.holds),
+        unique=bool(h_full and holds),
         h_full_rank=bool(h_full),
         h_rank=int(rank),
-        rrsp_holds=bool(check.holds),
-        margin=float(check.margin),
-        witness=check.witness,
+        rrsp_holds=bool(holds),
+        margin=float(margin),
+        witness=witness,
         cert_matrix=cm,
         active=acts,
         s_plus=tuple(int(j) for j in sp),
         s_minus=tuple(int(j) for j in sm),
+        witness_rows=tuple(tuple(int(i) for i in rows)
+                           for rows in (roles.pos, roles.neg, roles.pinned)),
         notes=tuple(notes),
     )
 
@@ -416,8 +456,7 @@ def _membership_margin(phi, meas: SignMeasurement, s_plus,
         return cert
     x = np.zeros(n)
     x[support] = s * cert.witness
-    return lp.MarginCertificate(t_star=cert.t_star, witness=x,
-                                strict_rows=cert.strict_rows)
+    return lp.MarginCertificate(t_star=cert.t_star, witness=x)
 
 
 def membership_P(phi, y, s_plus, s_minus,
@@ -449,6 +488,16 @@ def pattern_witness(phi, y, s_plus, s_minus,
     return cert.witness.copy()
 
 
+def _signed_patterns(n: int, k: int):
+    """Every nonempty signed support of size at most k over n columns, as
+    (s_plus, s_minus), in (size, support, signs) lexicographic order."""
+    for size in range(1, k + 1):
+        for supp in combinations(range(n), size):
+            for signs in product((1, -1), repeat=size):
+                yield (tuple(j for j, s in zip(supp, signs) if s == 1),
+                       tuple(j for j, s in zip(supp, signs) if s == -1))
+
+
 def patterns_of_measurement(phi, meas: SignMeasurement, k: int,
                             tol: TolerancePolicy | None = None
                             ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -456,16 +505,8 @@ def patterns_of_measurement(phi, meas: SignMeasurement, k: int,
     consistent signals, in (size, support, signs) lexicographic order."""
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
-    n = phi.shape[1]
-    out = []
-    for size in range(1, k + 1):
-        for supp in combinations(range(n), size):
-            for signs in product((1, -1), repeat=size):
-                sp = tuple(j for j, s in zip(supp, signs) if s == 1)
-                sm = tuple(j for j, s in zip(supp, signs) if s == -1)
-                if membership_P(phi, meas, sp, sm, pol):
-                    out.append((sp, sm))
-    return out
+    return [(sp, sm) for sp, sm in _signed_patterns(phi.shape[1], k)
+            if membership_P(phi, meas, sp, sm, pol)]
 
 
 def _tpairs(meas: SignMeasurement):
@@ -481,21 +522,6 @@ def _tpairs(meas: SignMeasurement):
                     yield TPair(t1=t1, t2=t2)
 
 
-def _tpair_stack_full_rank(phi, meas: SignMeasurement, pair: TPair,
-                           support: tuple[int, ...], tol: TolerancePolicy) -> bool:
-    keep_plus = [i for i in meas.j_plus if int(i) not in set(pair.t1)]
-    keep_minus = [i for i in meas.j_minus if int(i) not in set(pair.t2)]
-    rows = keep_plus + keep_minus + [int(i) for i in meas.j_zero]
-    cols = list(support)
-    if not cols:
-        return False
-    stacked = stack_rows([phi[np.ix_(np.array(rows, dtype=int),
-                                     np.array(cols, dtype=int))]
-                          if rows else np.zeros((0, len(cols)))],
-                         cols=len(cols))
-    return column_rank(stacked, tol) == len(cols)
-
-
 def _pattern_pair_check(phi, meas: SignMeasurement, sp, sm,
                         tol: TolerancePolicy, require_all: bool,
                         y_label=None) -> tuple[bool, list[RrspEvidence]]:
@@ -505,18 +531,14 @@ def _pattern_pair_check(phi, meas: SignMeasurement, sp, sm,
     pair admits a witness (the sufficiency shape); False succeeds on the
     first full-rank pair with a witness (the necessity shape).
     """
-    support = tuple(sorted(set(sp) | set(sm)))
     evidence: list[RrspEvidence] = []
     found_full_rank = False
     for pair in _tpairs(meas):
-        if not _tpair_stack_full_rank(phi, meas, pair, support, tol):
+        roles = _row_roles(meas, pair.t1, pair.t2)
+        if column_rank(_kept_stack(phi, roles, sp, sm), tol) < len(sp) + len(sm):
             continue
         found_full_rank = True
-        pos_rows = [int(i) for i in meas.j_plus if int(i) not in set(pair.t1)]
-        neg_rows = [int(i) for i in meas.j_minus if int(i) not in set(pair.t2)]
-        zero_rows = sorted(set(pair.t1) | set(pair.t2))
-        holds, witness, margin = _sign_witness_margin(
-            phi, list(sp), list(sm), pos_rows, neg_rows, zero_rows, tol)
+        holds, _, margin = _sign_witness_margin(phi, sp, sm, roles, tol)
         ev = RrspEvidence(s_plus=tuple(sp), s_minus=tuple(sm), tpair=pair,
                           y=y_label, margin=margin, holds=holds,
                           note="witness" if holds else "no witness")
@@ -604,34 +626,28 @@ def rrsp_order_k(phi, k: int, variant: str,
     nonzero = [meas for meas in yk.measurements if not meas.is_zero()]
 
     all_evidence: list[RrspEvidence] = []
-    for size in range(1, k + 1):
-        for supp in combinations(range(n), size):
-            for signs in product((1, -1), repeat=size):
-                sp = tuple(j for j, s in zip(supp, signs) if s == 1)
-                sm = tuple(j for j, s in zip(supp, signs) if s == -1)
-                carriers = [meas for meas in nonzero
-                            if membership_P(phi, meas, sp, sm, pol)]
-                if variant == SUFFICIENT:
-                    for meas in carriers:
-                        ok, ev = _pattern_pair_check(
-                            phi, meas, sp, sm, pol, require_all=True,
-                            y_label=tuple(int(v) for v in meas.y))
-                        all_evidence.extend(ev)
-                        if not ok:
-                            return False, all_evidence
-                else:
-                    hit = False
-                    for meas in carriers:
-                        ok, ev = _pattern_pair_check(
-                            phi, meas, sp, sm, pol, require_all=False,
-                            y_label=tuple(int(v) for v in meas.y))
-                        if ok:
-                            all_evidence.extend(ev)
-                            hit = True
-                            break
-                    if not hit:
-                        return False, [RrspEvidence(
-                            s_plus=sp, s_minus=sm, tpair=None, y=None,
-                            margin=-1.0, holds=False,
-                            note="no measurement carries this pattern with a witness")]
+    for sp, sm in _signed_patterns(n, k):
+        carriers = [meas for meas in nonzero
+                    if membership_P(phi, meas, sp, sm, pol)]
+        if variant == SUFFICIENT:
+            for meas in carriers:
+                ok, ev = _pattern_pair_check(
+                    phi, meas, sp, sm, pol, require_all=True,
+                    y_label=tuple(int(v) for v in meas.y))
+                all_evidence.extend(ev)
+                if not ok:
+                    return False, all_evidence
+            continue
+        for meas in carriers:
+            ok, ev = _pattern_pair_check(
+                phi, meas, sp, sm, pol, require_all=False,
+                y_label=tuple(int(v) for v in meas.y))
+            if ok:
+                all_evidence.extend(ev)
+                break
+        else:
+            return False, [RrspEvidence(
+                s_plus=sp, s_minus=sm, tpair=None, y=None,
+                margin=-1.0, holds=False,
+                note="no measurement carries this pattern with a witness")]
     return True, all_evidence

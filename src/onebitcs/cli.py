@@ -74,6 +74,20 @@ def _read_measurement(path: str) -> np.ndarray:
     return np.array(vals, dtype=int)
 
 
+def _read_signal(path: str) -> np.ndarray:
+    with open(path, "r", encoding="utf-8") as fh:
+        tokens = fh.read().split()
+    if not tokens:
+        raise ValueError(f"{path}: empty signal file")
+    try:
+        x = np.array([float(t) for t in tokens])
+    except ValueError as exc:
+        raise ValueError(f"{path}: non-numeric signal entry") from exc
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{path}: signal entries must be finite")
+    return x
+
+
 def _tolerances(args: argparse.Namespace) -> TolerancePolicy:
     return TolerancePolicy(
         rank_tol=args.tol_rank,
@@ -134,7 +148,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     y = _read_measurement(args.y)
     meas = SignMeasurement.from_y(y)
     if args.x:
-        x = np.array([float(t) for t in open(args.x, encoding="utf-8").read().split()])
+        x = _read_signal(args.x)
         source = "supplied"
     else:
         sol = one_bit_bp(phi, meas, pol)
@@ -152,14 +166,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             "w": _vec(report.witness.w),
             "margin": report.witness.margin,
         }
-        yv = meas.y
-        pos_rows = [int(i) for i in report.active.active if yv[i] == 1]
-        neg_rows = [int(i) for i in report.active.active if yv[i] == -1]
-        zero_rows = ([int(i) for i in report.active.inactive_plus]
-                     + [int(i) for i in report.active.inactive_minus])
         recheck = witness_is_valid(
             phi, report.witness, report.s_plus, report.s_minus,
-            pos_rows, neg_rows, zero_rows, pol)
+            *report.witness_rows, pol)
     payload = {
         "signal_source": source,
         "x": _vec(x),

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernels: numerical rank, null-space bases, row stacking.
+"""Dense linear-algebra kernels: numerical rank and null-space bases.
 
 Everything here works on plain float64 numpy arrays and uses explicit,
 relative pivot thresholds so that rank decisions are reproducible and easy
@@ -172,23 +172,3 @@ def null_space_basis(m, tol: TolerancePolicy | None = None) -> np.ndarray:
         q[:, k] /= nrm
     return q
 
-
-def stack_rows(blocks, cols: int | None = None) -> np.ndarray:
-    """Vertically stack matrix blocks, allowing an empty stack.
-
-    An empty block list (or all blocks with zero rows) still needs a column
-    count; pass `cols` or include at least one block.  Blocks with
-    mismatched column counts raise ValueError.
-    """
-    mats = [as_matrix(b) for b in blocks]
-    widths = {m.shape[1] for m in mats}
-    if len(widths) > 1:
-        raise ValueError(f"blocks have mismatched column counts: {sorted(widths)}")
-    if not mats:
-        if cols is None:
-            raise ValueError("empty stack needs an explicit column count")
-        return np.zeros((0, cols))
-    w = widths.pop()
-    if cols is not None and cols != w:
-        raise ValueError(f"blocks have {w} columns, expected {cols}")
-    return np.vstack(mats)

@@ -107,7 +107,6 @@ class LPSolution:
     primal: np.ndarray | None = None
     dual: np.ndarray | None = None
     objective_value: float | None = None
-    basis: tuple[int, ...] | None = None
     ray: np.ndarray | None = None
     phase1_gap: float | None = None
 
@@ -234,7 +233,7 @@ def _run_phase(t: np.ndarray, basis: np.ndarray, enterable: np.ndarray,
 def _simplex_standard(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict:
     """Two-phase simplex on min c.z, A z = b, z >= 0.
 
-    Returns a dict with status, z, y (row duals), basis, ray, phase1_gap.
+    Returns a dict with status, z, y (row duals), ray, phase1_gap.
     Artificial variables are barred from entering in both phases; rows
     whose artificial cannot be driven out after phase 1 are redundant and
     stay inert.  Rows with b_i < 0 are negated in place, so a and b are
@@ -310,12 +309,10 @@ def _simplex_standard(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict:
     z[basis] = np.maximum(t[:m, -1], 0.0)
     y = -t[-1, n:n + m].copy()
     y[flip] *= -1.0
-    kept = tuple(int(j) for j in sorted(basis) if j < n)
     return {
         "status": OPTIMAL,
         "z": z[:n],
         "y": y,
-        "basis": kept,
         "objective": float(c @ z[:n]),
     }
 
@@ -344,7 +341,6 @@ def solve(p: LPProblem) -> LPSolution:
         primal=x,
         dual=y,
         objective_value=float(p.c @ x),
-        basis=out["basis"],
     )
 
 
@@ -358,7 +354,6 @@ class MarginCertificate:
 
     t_star: float
     witness: np.ndarray | None
-    strict_rows: tuple[int, ...]
 
 
 def max_margin_feasibility(a, rels, b, strict, cap: float = 1.0,
@@ -403,13 +398,12 @@ def max_margin_feasibility(a, rels, b, strict, cap: float = 1.0,
                   b=np.append(as_vector(b, r), float(cap)), sense="max", free=fmask)
     sol = solve(p)
     if sol.status == INFEASIBLE:
-        return MarginCertificate(t_star=-1.0, witness=None, strict_rows=strict)
+        return MarginCertificate(t_star=-1.0, witness=None)
     if sol.status != OPTIMAL:
         raise RuntimeError(f"margin LP did not solve cleanly: status {sol.status}")
     return MarginCertificate(
         t_star=float(sol.primal[-1]),
         witness=sol.primal[:-1].copy(),
-        strict_rows=strict,
     )
 
 

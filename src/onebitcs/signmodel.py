@@ -36,18 +36,14 @@ def sign_nonstandard(v, tol: TolerancePolicy | None = None) -> np.ndarray:
 class SignMeasurement:
     """A vector y over {-1, 0, +1} with its index partition.
 
-    j_plus/j_minus/j_zero are the ascending row indices where y is +1, -1,
-    0.  slot_plus[i] is the position of row i within j_plus (-1 elsewhere),
-    so slack vectors indexed by the positive rows can be addressed directly;
-    slot_minus is the analogue for j_minus.
+    j_plus/j_minus/j_zero are the ascending row indices where y is +1, -1
+    and 0.
     """
 
     y: np.ndarray
     j_plus: np.ndarray
     j_minus: np.ndarray
     j_zero: np.ndarray
-    slot_plus: np.ndarray
-    slot_minus: np.ndarray
 
     @classmethod
     def from_y(cls, y) -> "SignMeasurement":
@@ -57,16 +53,8 @@ class SignMeasurement:
         arr = arr.astype(int)
         if not np.all(np.isin(arr, (-1, 0, 1))):
             raise ValueError("measurement entries must lie in {-1, 0, 1}")
-        jp = np.flatnonzero(arr == 1)
-        jm = np.flatnonzero(arr == -1)
-        jz = np.flatnonzero(arr == 0)
-        m = arr.shape[0]
-        slot_plus = np.full(m, -1)
-        slot_plus[jp] = np.arange(jp.size)
-        slot_minus = np.full(m, -1)
-        slot_minus[jm] = np.arange(jm.size)
-        return cls(y=arr, j_plus=jp, j_minus=jm, j_zero=jz,
-                   slot_plus=slot_plus, slot_minus=slot_minus)
+        return cls(y=arr, j_plus=np.flatnonzero(arr == 1),
+                   j_minus=np.flatnonzero(arr == -1), j_zero=np.flatnonzero(arr == 0))
 
     @property
     def m(self) -> int:
@@ -137,30 +125,27 @@ def active_sets(phi, x, meas: SignMeasurement, tol: TolerancePolicy | None = Non
 
     Requires x to satisfy the decoding constraints (rows of j_plus at
     least 1, rows of j_minus at most -1, rows of j_zero equal to 0) within
-    active_tol; the error message names the first violated row.
+    active_tol and meas to have one row per row of phi; the error message
+    names the first violated row of j_plus, else of j_minus, else of j_zero.
     """
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
     x = as_vector(x, phi.shape[1])
+    if meas.m != phi.shape[0]:
+        raise ValueError(f"measurement has {meas.m} rows, matrix has {phi.shape[0]}")
     v = phi @ x
-    for i in meas.j_plus:
-        if v[i] < 1.0 - pol.active_tol:
-            raise ValueError(
-                f"row {i} requires phi@x >= 1 but has value {v[i]:.6g}")
-    for i in meas.j_minus:
-        if v[i] > -1.0 + pol.active_tol:
-            raise ValueError(
-                f"row {i} requires phi@x <= -1 but has value {v[i]:.6g}")
-    for i in meas.j_zero:
-        if abs(v[i]) > pol.active_tol:
-            raise ValueError(
-                f"row {i} requires phi@x == 0 but has value {v[i]:.6g}")
-    act_plus = [int(i) for i in meas.j_plus if abs(v[i] - 1.0) <= pol.active_tol]
-    act_minus = [int(i) for i in meas.j_minus if abs(v[i] + 1.0) <= pol.active_tol]
-    active = np.array(sorted(act_plus + act_minus), dtype=int)
-    inact_plus = np.array([int(i) for i in meas.j_plus if i not in set(act_plus)], dtype=int)
-    inact_minus = np.array([int(i) for i in meas.j_minus if i not in set(act_minus)], dtype=int)
-    return ActiveSets(active=active, inactive_plus=inact_plus, inactive_minus=inact_minus)
+    jp, jm, jz = meas.j_plus, meas.j_minus, meas.j_zero
+    t = pol.active_tol
+    for rows, bad, need in ((jp, v[jp] < 1.0 - t, ">= 1"),
+                            (jm, v[jm] > -1.0 + t, "<= -1"),
+                            (jz, np.abs(v[jz]) > t, "== 0")):
+        if bad.any():
+            i = rows[np.argmax(bad)]
+            raise ValueError(f"row {i} requires phi@x {need} but has value {v[i]:.6g}")
+    act_plus = np.abs(v[jp] - 1.0) <= t
+    act_minus = np.abs(v[jm] + 1.0) <= t
+    return ActiveSets(active=np.sort(np.concatenate([jp[act_plus], jm[act_minus]])),
+                      inactive_plus=jp[~act_plus], inactive_minus=jm[~act_minus])
 
 
 def minimal_scaling(phi, x, meas: SignMeasurement, tol: TolerancePolicy | None = None) -> float:

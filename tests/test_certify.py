@@ -119,6 +119,18 @@ class TestUniquenessCertificate:
         assert witness_is_valid(np.eye(2), overstated, *args,
                                 tol=TolerancePolicy(margin_tol=1e-5))
 
+    def test_partition_is_computed_once(self, monkeypatch):
+        import onebitcs.certify as certify
+        calls = {"active_sets": 0, "signed_support": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(certify, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(certify, name, counted)
+        rep = uniqueness_certificate(PHI, Y, np.array([1., 0., 0., 0.]))
+        assert calls == {"active_sets": 1, "signed_support": 1}
+        assert rep.witness_rows == ((), (1,), (0,))
+
     def test_duplicate_active_row_keeps_verdict(self):
         """Appending a copy of an already-active row never flips the
         certificate."""

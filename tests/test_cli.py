@@ -1,6 +1,7 @@
 """Command-line behavior: file formats, JSON payloads, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,40 @@ def test_certify_at_supplied_signal(flagship_files, tmp_path, capsys):
     assert payload["signal_source"] == "supplied"
     assert payload["h_full_rank"] is True
     assert payload["unique"] is False
+
+
+def test_certify_closes_the_signal_file(flagship_files, tmp_path, capsys):
+    mat, yvec = flagship_files
+    xfile = tmp_path / "x.txt"
+    xfile.write_text("1 0 0 0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["certify", "--matrix", mat, "--y", yvec, "--x", str(xfile)]) == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_certify_rejects_measurement_of_other_length(flagship_files, tmp_path, capsys):
+    mat, _ = flagship_files
+    xfile = tmp_path / "x.txt"
+    xfile.write_text("1 0 0 0\n")
+    for y in ("1\n", "1 -1 1\n"):
+        yvec = tmp_path / "y.txt"
+        yvec.write_text(y)
+        assert main(["certify", "--matrix", mat, "--y", str(yvec), "--x", str(xfile)]) == 2
+        assert "measurement has" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty signal file"),
+    ("1 0 zero 0\n", "non-numeric signal entry"),
+    ("1 0 nan 0\n", "signal entries must be finite"),
+])
+def test_bad_signal_file_is_usage_error(flagship_files, tmp_path, capsys, text, message):
+    mat, yvec = flagship_files
+    xfile = tmp_path / "x.txt"
+    xfile.write_text(text)
+    assert main(["certify", "--matrix", mat, "--y", yvec, "--x", str(xfile)]) == 2
+    assert f"error: {xfile}: {message}" in capsys.readouterr().err
 
 
 def test_audit_modes(flagship_files, capsys):

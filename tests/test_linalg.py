@@ -1,4 +1,4 @@
-"""Rank, null-space, and stacking kernels."""
+"""Rank and null-space kernels."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from onebitcs.linalg import (
     column_rank,
     null_space_basis,
     rank_profile,
-    stack_rows,
 )
 
 int_matrix = st.integers(min_value=1, max_value=5).flatmap(
@@ -76,17 +75,8 @@ def test_stack_rank_dominates_blocks():
     for _ in range(50):
         a = rng.integers(-3, 4, size=(rng.integers(1, 4), 4)).astype(float)
         b = rng.integers(-3, 4, size=(rng.integers(1, 4), 4)).astype(float)
-        stacked = stack_rows([a, b])
+        stacked = np.vstack([a, b])
         assert column_rank(stacked) >= max(column_rank(a), column_rank(b))
-
-
-def test_stack_rows_validation():
-    with pytest.raises(ValueError):
-        stack_rows([np.ones((1, 2)), np.ones((1, 3))])
-    with pytest.raises(ValueError):
-        stack_rows([])
-    empty = stack_rows([], cols=4)
-    assert empty.shape == (0, 4)
 
 
 def test_rank_profile_reports_pivots():

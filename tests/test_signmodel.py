@@ -56,10 +56,6 @@ def test_partition_covers_all_rows():
     assert meas.j_minus.tolist() == [1]
     assert meas.j_zero.tolist() == [2, 4]
     assert len(meas.j_plus) + len(meas.j_minus) + len(meas.j_zero) == meas.m
-    # slot arrays invert the partition
-    assert meas.slot_plus[0] == 0 and meas.slot_plus[3] == 1
-    assert meas.slot_minus[1] == 0
-    assert meas.slot_plus[1] == -1
 
 
 def test_measurement_rejects_bad_entries():
@@ -107,6 +103,37 @@ class TestActiveSets:
         with pytest.raises(ValueError, match="row 0"):
             active_sets(PHI, np.array([0.1, 0., 0., 0.]),
                         SignMeasurement.from_y(Y))
+
+    def test_rejects_row_count_mismatch(self):
+        for y in ([1], [1, -1, 1]):
+            with pytest.raises(ValueError, match="matrix has 2"):
+                active_sets(PHI, np.array([1., 0., 0., 0.]), SignMeasurement.from_y(y))
+
+    def test_names_first_violated_row_by_class(self):
+        """j_plus rows are checked before j_minus rows, j_minus before
+        j_zero, and the lowest row of the first violated class is named."""
+        phi = np.eye(6)
+        meas = SignMeasurement.from_y(np.array([0, -1, 1, -1, 1, 0]))
+        x = np.array([0.5, -0.5, 0.5, 0.5, 0.2, 3.])
+        with pytest.raises(ValueError, match=r"^row 2 requires phi@x >= 1 "):
+            active_sets(phi, x, meas)
+        x[[2, 4]] = 1.0
+        with pytest.raises(ValueError, match=r"^row 1 requires phi@x <= -1 "):
+            active_sets(phi, x, meas)
+        x[1] = -1.0
+        with pytest.raises(ValueError, match=r"^row 3 requires phi@x <= -1 "):
+            active_sets(phi, x, meas)
+        x[3] = -2.0
+        with pytest.raises(ValueError, match=r"^row 0 requires phi@x == 0 but has value 0.5$"):
+            active_sets(phi, x, meas)
+        x[0] = 0.0
+        with pytest.raises(ValueError, match=r"^row 5 requires phi@x == 0 "):
+            active_sets(phi, x, meas)
+        x[5] = 0.0
+        acts = active_sets(phi, x, meas)
+        assert acts.active.tolist() == [1, 2, 4]
+        assert acts.inactive_plus.tolist() == []
+        assert acts.inactive_minus.tolist() == [3]
 
 
 class TestMinimalScaling:
