@@ -135,6 +135,14 @@ class RrspEvidence:
     note: str
 
 
+def _measurement(y, m: int) -> SignMeasurement:
+    """y as a SignMeasurement, checked to have one row per matrix row."""
+    meas = y if isinstance(y, SignMeasurement) else SignMeasurement.from_y(y)
+    if meas.m != m:
+        raise ValueError(f"measurement has {meas.m} rows, matrix has {m}")
+    return meas
+
+
 class _Roles(NamedTuple):
     """Witness row roles under a restriction pair (t1, t2).
 
@@ -376,9 +384,7 @@ def relaxation_consistency(phi, y, mode: str,
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
     m, n = phi.shape
-    meas = y if isinstance(y, SignMeasurement) else SignMeasurement.from_y(y)
-    if meas.m != m:
-        raise ValueError(f"measurement has {meas.m} rows, matrix has {m}")
+    meas = _measurement(y, m)
     if mode not in _AUDIT_MODES:
         raise ValueError(f"unknown audit mode {mode!r}; pick one of {_AUDIT_MODES}")
     if mode in (NONSTANDARD_X, NONSTANDARD_PHIX):
@@ -416,7 +422,7 @@ def relaxation_consistency(phi, y, mode: str,
     return len(violations) == 0, violations
 
 
-def _membership_margin(phi, meas: SignMeasurement, s_plus,
+def _membership_margin(phi: np.ndarray, meas: SignMeasurement, s_plus,
                        s_minus) -> lp.MarginCertificate:
     """Margin LP deciding whether a signed support is realized by some
     consistent signal (strict signs on the support and the signed rows,
@@ -429,23 +435,36 @@ def _membership_margin(phi, meas: SignMeasurement, s_plus,
     implied, so the LP has |S| + 1 variables and m + 2|S| + 1 rows.  Its
     optimum is that of the n-column formulation.  The witness is x with
     x_S = s * z and zeros elsewhere.
+
+    The signs refute a support before any LP is built: when some signed
+    row of y_i phi_iS s has no positive entry, z >= 0 caps that row at 0,
+    and z = 0, t = 0 is feasible, so the optimum is t = 0 exactly and the
+    zero signal is returned as the witness.  Every other support is
+    decided by the LP.  Columns must be distinct and lie in [0, n).
     """
-    phi = as_matrix(phi)
     m, n = phi.shape
     sp = sorted(int(j) for j in s_plus)
     sm = sorted(int(j) for j in s_minus)
     if set(sp) & set(sm):
         raise ValueError("pattern has overlapping positive and negative support")
-    support = np.array(sp + sm, dtype=int)
+    cols = sp + sm
+    if len(set(cols)) < len(cols):
+        raise ValueError(f"pattern repeats a column: {cols}")
+    if any(j < 0 or j >= n for j in cols):
+        raise ValueError(f"pattern column outside [0, {n}): {cols}")
+    support = np.array(cols, dtype=int)
     s = np.array([1.0] * len(sp) + [-1.0] * len(sm))
     k = support.size
     rows = np.concatenate([meas.j_plus, meas.j_minus, meas.j_zero])
     signed = meas.j_plus.size + meas.j_minus.size
+    block = phi[np.ix_(rows, support)] * s
+    block[:signed] *= meas.y[rows[:signed], None]
+    if np.any(np.all(block[:signed] <= 0.0, axis=1)):
+        return lp.MarginCertificate(t_star=0.0, witness=np.zeros(n))
 
     a = np.zeros((m + 2 * k, k))
     a[:k] = np.eye(k)
-    a[k:k + m] = phi[np.ix_(rows, support)] * s
-    a[k:k + signed] *= meas.y[rows[:signed], None]
+    a[k:k + m] = block
     a[k + m:] = np.eye(k)
     rels = (">=",) * (k + signed) + ("=",) * (m - signed) + ("<=",) * k
     b = np.zeros(m + 2 * k)
@@ -465,10 +484,14 @@ def membership_P(phi, y, s_plus, s_minus,
 
     Decided at margin_tol resolution: the strict sign requirements must be
     satisfiable with a common margin of at least margin_tol after capping
-    the signal's sup norm at 1.
+    the signal's sup norm at 1.  A support whose columns all push some
+    signed row the wrong way (or not at all) is refuted from the signs
+    alone, without an LP.  Raises ValueError when y does not have one row
+    per row of phi, or a column repeats or lies outside [0, n).
     """
     pol = tol or DEFAULT_TOLERANCES
-    meas = y if isinstance(y, SignMeasurement) else SignMeasurement.from_y(y)
+    phi = as_matrix(phi)
+    meas = _measurement(y, phi.shape[0])
     cert = _membership_margin(phi, meas, s_plus, s_minus)
     return cert.t_star >= pol.margin_tol
 
@@ -479,9 +502,11 @@ def pattern_witness(phi, y, s_plus, s_minus,
 
     The returned point maximizes the common strict margin under a sup-norm
     cap of 1, so it sits well inside the open region whenever one exists.
+    Inputs are checked as in membership_P.
     """
     pol = tol or DEFAULT_TOLERANCES
-    meas = y if isinstance(y, SignMeasurement) else SignMeasurement.from_y(y)
+    phi = as_matrix(phi)
+    meas = _measurement(y, phi.shape[0])
     cert = _membership_margin(phi, meas, s_plus, s_minus)
     if cert.t_star < pol.margin_tol or cert.witness is None:
         return None
@@ -502,9 +527,11 @@ def patterns_of_measurement(phi, meas: SignMeasurement, k: int,
                             tol: TolerancePolicy | None = None
                             ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All nonempty signed supports of size at most k realized by
-    consistent signals, in (size, support, signs) lexicographic order."""
+    consistent signals, in (size, support, signs) lexicographic order.
+    Raises ValueError when meas does not have one row per row of phi."""
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
+    meas = _measurement(meas, phi.shape[0])
     return [(sp, sm) for sp, sm in _signed_patterns(phi.shape[1], k)
             if membership_P(phi, meas, sp, sm, pol)]
 
@@ -569,11 +596,12 @@ def rrsp_wrt_y(phi, y, k: int, variant: str,
     full-rank restriction pair, and every full-rank pair must admit a
     witness; vacuously true when no pattern qualifies.  variant
     "necessary": some realizable pattern has some full-rank pair with a
-    witness.  Refuses instances beyond the exhaustive-sweep budget.
+    witness.  Refuses instances beyond the exhaustive-sweep budget, and
+    raises ValueError when y does not have one row per row of phi.
     """
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
-    meas = y if isinstance(y, SignMeasurement) else SignMeasurement.from_y(y)
+    meas = _measurement(y, phi.shape[0])
     if variant not in (SUFFICIENT, NECESSARY):
         raise ValueError(f"variant must be sufficient or necessary, got {variant!r}")
     n = phi.shape[1]

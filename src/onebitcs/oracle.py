@@ -230,7 +230,9 @@ def l0_min(phi, y, k_max: int | None = None,
 
     For each support size (ascending) and each support, a margin LP on the
     decoding constraints restricted to that support decides feasibility;
-    the first size with any hit is the answer.  Refuses wide instances
+    the first size with any hit is the answer.  A support on which some
+    signed row of phi is identically zero is infeasible (that row would
+    need 0 >= 1) and is skipped without an LP.  Refuses wide instances
     unless the sweep is capped at small sparsity.
     """
     pol = tol or DEFAULT_TOLERANCES
@@ -258,8 +260,10 @@ def l0_min(phi, y, k_max: int | None = None,
         hits = []
         for supp in combinations(range(n), size):
             cols = np.array(supp, dtype=int)
-            cert = lp.max_margin_feasibility(phi[np.ix_(order, cols)], rels, b,
-                                             strict, cap=1.0)
+            block = phi[np.ix_(order, cols)]
+            if not block[:signed].any(axis=1).all():
+                continue
+            cert = lp.max_margin_feasibility(block, rels, b, strict, cap=1.0)
             if cert.t_star < 0.0:
                 continue
             x = np.zeros(n)

@@ -1,6 +1,7 @@
 """Uniqueness certificates, dual witnesses, and relaxation audits."""
 
-from itertools import product
+import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -13,8 +14,11 @@ from onebitcs.certify import (
     STANDARD_COND,
     SUFFICIENT,
     RrspWitness,
+    _membership_margin,
+    _signed_patterns,
     assemble_H,
     membership_P,
+    pattern_witness,
     patterns_of_measurement,
     relaxation_consistency,
     rrsp_at,
@@ -24,7 +28,8 @@ from onebitcs.certify import (
     witness_is_valid,
 )
 from onebitcs.decoders import one_bit_bp
-from onebitcs.linalg import TolerancePolicy, column_rank
+from onebitcs.linalg import DEFAULT_TOLERANCES, TolerancePolicy, column_rank
+from onebitcs.oracle import enumerate_P, l0_min
 from onebitcs.signmodel import (
     NONSTANDARD,
     SignMeasurement,
@@ -360,6 +365,161 @@ class TestMembershipAndPatterns:
         meas = SignMeasurement.from_y(np.array([1, -1]))
         assert patterns_of_measurement(np.eye(2), meas, 1) == []
         assert patterns_of_measurement(np.eye(2), meas, 2) == [((0,), (1,))]
+
+    @pytest.mark.parametrize("y", [np.array([1]), np.array([1, -1, 1])])
+    def test_rejects_measurement_of_other_length(self, y):
+        msg = f"measurement has {y.size} rows, matrix has 2"
+        meas = SignMeasurement.from_y(y)
+        calls = [lambda: membership_P(PHI, y, (0,), ()),
+                 lambda: pattern_witness(PHI, y, (0,), ()),
+                 lambda: patterns_of_measurement(PHI, meas, 1),
+                 lambda: enumerate_P(PHI, y, 1),
+                 lambda: rrsp_wrt_y(PHI, y, 1, SUFFICIENT)]
+        for call in calls:
+            with pytest.raises(ValueError, match=msg):
+                call()
+
+    @pytest.mark.parametrize("s_plus, s_minus, msg", [
+        ((-1,), (), "outside"),
+        ((), (4,), "outside"),
+        ((0, 0), (), "repeats"),
+        ((), (1, 1), "repeats"),
+    ])
+    def test_rejects_bad_pattern_columns(self, s_plus, s_minus, msg):
+        for fn in (membership_P, pattern_witness):
+            with pytest.raises(ValueError, match=msg):
+                fn(PHI, Y, s_plus, s_minus)
+
+
+def _lp_only_membership_margin(phi, meas, s_plus, s_minus) -> float:
+    """t_star of the membership margin LP, always solved: the reference
+    for the sign refutation in _membership_margin."""
+    m, n = phi.shape
+    support = np.array(list(s_plus) + list(s_minus), dtype=int)
+    s = np.array([1.0] * len(s_plus) + [-1.0] * len(s_minus))
+    k = support.size
+    rows = np.concatenate([meas.j_plus, meas.j_minus, meas.j_zero])
+    signed = meas.j_plus.size + meas.j_minus.size
+    a = np.zeros((m + 2 * k, k))
+    a[:k] = np.eye(k)
+    a[k:k + m] = phi[np.ix_(rows, support)] * s
+    a[k:k + signed] *= meas.y[rows[:signed], None]
+    a[k + m:] = np.eye(k)
+    rels = (">=",) * (k + signed) + ("=",) * (m - signed) + ("<=",) * k
+    b = np.zeros(m + 2 * k)
+    b[k + m:] = 1.0
+    return lp.max_margin_feasibility(a, rels, b, range(k + signed), cap=1.0,
+                                     free=np.zeros(k, dtype=bool)).t_star
+
+
+def _lp_only_l0_min(phi, meas, k_max):
+    """l0_min's support sweep with an LP on every support: (value, witness
+    signals) as the reference for the skipped supports."""
+    n = phi.shape[1]
+    order = np.concatenate([meas.j_plus, meas.j_minus, meas.j_zero])
+    signed = meas.j_plus.size + meas.j_minus.size
+    rels = ((">=",) * meas.j_plus.size + ("<=",) * meas.j_minus.size
+            + ("=",) * meas.j_zero.size)
+    b = meas.y[order].astype(float)
+    for size in range(1, min(k_max, n) + 1):
+        hits = []
+        for supp in combinations(range(n), size):
+            cols = np.array(supp, dtype=int)
+            cert = lp.max_margin_feasibility(phi[np.ix_(order, cols)], rels, b,
+                                             range(signed), cap=1.0)
+            if cert.t_star < 0.0:
+                continue
+            x = np.zeros(n)
+            x[cols] = cert.witness
+            hits.append(x)
+        if hits:
+            return float(size), hits
+    return math.inf, []
+
+
+def _refutation_cases():
+    """Seeded (phi, y): identity, dense Gaussian and row-sparse matrices
+    with exact zeros, each with three measurements of sparse signals and
+    one arbitrary measurement."""
+    rng = np.random.default_rng(2027)
+    mats = [np.eye(n) for n in (2, 3, 4)]
+    for _ in range(6):
+        m, n = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        mats.append(rng.normal(size=(m, n)))
+        mats.append(rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.4))
+    cases = []
+    for phi in mats:
+        m, n = phi.shape
+        for _ in range(3):
+            x = rng.normal(size=n) * (rng.random(n) < 0.5)
+            cases.append((phi, SignMeasurement.from_y(sign_standard(phi @ x))))
+        cases.append((phi, SignMeasurement.from_y(rng.integers(-1, 2, size=m))))
+    return cases
+
+
+class TestSignRefutation:
+    """Supports that the signs refute never reach an LP, and the answers
+    stay those of an LP on every support."""
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        solves = []
+        real_solve = lp.solve
+        monkeypatch.setattr(lp, "solve", lambda p: solves.append(p) or real_solve(p))
+        return solves
+
+    def test_membership_agrees_with_lp(self, monkeypatch):
+        solves = self._count_solves(monkeypatch)
+        tol = DEFAULT_TOLERANCES.margin_tol
+        refuted = members = 0
+        for phi, meas in _refutation_cases():
+            for sp, sm in _signed_patterns(phi.shape[1], 2):
+                solves.clear()
+                t_star = _membership_margin(phi, meas, sp, sm).t_star
+                refuted += not solves
+                ref = _lp_only_membership_margin(phi, meas, sp, sm)
+                assert abs(t_star - ref) <= 1e-9
+                assert (t_star >= tol) == (ref >= tol)
+                assert membership_P(phi, meas, sp, sm) == (ref >= tol)
+                members += ref >= tol
+        assert refuted >= 400 and members >= 100
+
+    def test_l0_min_agrees_with_lp(self, monkeypatch):
+        solves = self._count_solves(monkeypatch)
+        checked = skipped = 0
+        for phi, meas in _refutation_cases():
+            if meas.is_zero():
+                continue
+            solves.clear()
+            res = l0_min(phi, meas, k_max=2)
+            used = len(solves)
+            solves.clear()
+            value, xs = _lp_only_l0_min(phi, meas, 2)
+            skipped += len(solves) - used
+            assert res.value == value
+            assert len(res.witnesses) == len(xs)
+            for (_, x), ref in zip(res.witnesses, xs):
+                np.testing.assert_array_equal(x, ref)
+            checked += 1
+        assert checked >= 40
+        assert skipped >= 60
+
+    def test_refuted_membership_solves_no_lp(self, monkeypatch):
+        solves = self._count_solves(monkeypatch)
+        assert not membership_P(np.eye(2), np.array([1, -1]), (0,), ())
+        assert solves == []
+        assert pattern_witness(np.eye(2), np.array([1, -1]), (0,), ()) is None
+        assert solves == []
+
+    def test_l0_min_skips_supports_with_a_zero_signed_row(self, monkeypatch):
+        solves = self._count_solves(monkeypatch)
+        phi = np.array([[1., 0., 2.], [0., 3., 0.]])
+        res = l0_min(phi, np.array([1, -1]))
+        assert res.value == 2
+        assert sorted(pat for pat, _ in res.witnesses) == [((0,), (1,)), ((2,), (1,))]
+        # Only {0, 1} and {1, 2} reach the LP: every other support of size
+        # at most 2 leaves row 0 or row 1 without a nonzero entry.
+        assert len(solves) == 2
 
 
 class TestQuantifiedRrsp:
