@@ -191,11 +191,15 @@ def _sign_witness_margin(phi: np.ndarray, s_plus, s_minus, roles: _Roles,
     support = _columns(s_plus, s_minus)
     if support.size == 0:
         raise ValueError("dual-witness test needs a nonzero signal")
-    keep = np.setdiff1d(np.arange(m), roles.pinned)
+    unpinned = np.ones(m, dtype=bool)
+    unpinned[roles.pinned] = False
+    keep = np.flatnonzero(unpinned)
     slot = np.full(m, -1)
     slot[keep] = np.arange(keep.size)
     eta_rows = phi[keep].T
-    off = np.setdiff1d(np.arange(n), support)
+    on = np.zeros(n, dtype=bool)
+    on[support] = True
+    off = np.flatnonzero(~on)
     pos = slot[roles.pos]
     neg = slot[roles.neg]
     ns, no = support.size, 2 * off.size
@@ -240,13 +244,14 @@ def witness_is_valid(phi, witness: RrspWitness, s_plus, s_minus, pos_rows,
     eta = phi.T @ w
     sp, sm, pos, neg, zero = (np.asarray(v, dtype=int) for v in
                               (s_plus, s_minus, pos_rows, neg_rows, zero_rows))
-    off = np.setdiff1d(np.arange(n), np.concatenate([sp, sm]))
+    on = np.zeros(n, dtype=bool)
+    on[sp] = on[sm] = True
     slack = witness.margin - pol.margin_tol / 10
     return bool(
         np.all(np.abs(eta - witness.eta) <= pol.sign_tol)
         and np.all(np.abs(eta[sp] - 1.0) <= pol.sign_tol)
         and np.all(np.abs(eta[sm] + 1.0) <= pol.sign_tol)
-        and np.all(np.abs(eta[off]) <= 1.0 - slack)
+        and np.all(np.abs(eta[~on]) <= 1.0 - slack)
         and np.all(w[pos] >= slack)
         and np.all(w[neg] <= -slack)
         and np.all(np.abs(w[zero]) <= pol.sign_tol))

@@ -5,6 +5,14 @@ reproducibility rather than speed on large instances: fixed pivoting rules
 (Dantzig, switching to Bland's rule after a budget of degenerate pivots),
 duals read off the final basis, and strict inequalities handled everywhere
 by margin maximization instead of epsilon perturbations.
+
+Phase 1 starts on the unit columns the standard form already has: each
+row is oriented so that b_i >= 0, and a column whose only nonzero is +1
+in that row (a slack, a flipped surplus, a gap variable of the decoder)
+starts basic there.  Only rows without such a column get an artificial
+variable.  The dual of a row is read from the reduced cost of the column
+that started basic in it.  An optimal status is returned only after the
+point has been checked against every original row and sign bound.
 """
 
 from __future__ import annotations
@@ -19,6 +27,9 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 STALLED = "stalled"
+# The simplex ended optimal, but the point misses a row or sign bound of
+# the original problem by more than the primal tolerance.
+INACCURATE = "inaccurate"
 
 RELATIONS = ("<=", "=", ">=")
 
@@ -26,7 +37,8 @@ RELATIONS = ("<=", "=", ">=")
 PIVOT_TOL = 1e-10
 # Reduced costs above -OPT_TOL count as nonnegative (phase optimality).
 OPT_TOL = 1e-9
-# Phase-1 objective below FEAS_TOL * scale counts as feasible.
+# Phase-1 objective below FEAS_TOL * scale counts as feasible; an optimal
+# point must meet each original row within FEAS_TOL * (1 + |b_i| + |a_i|.|x|).
 FEAS_TOL = 1e-8
 
 
@@ -100,7 +112,10 @@ class LPSolution:
     minimization, multipliers on <= rows are <= 0 and on >= rows are >= 0;
     signs flip for maximization.  ray is a recession direction in the
     original variables certifying unboundedness.  phase1_gap is the
-    residual infeasibility measure when status is infeasible.
+    residual infeasibility measure when status is infeasible.  An optimal
+    status is returned only for a point that meets every row and sign bound
+    of the original problem within the primal tolerance (see FEAS_TOL);
+    otherwise the status is inaccurate and no point is returned.
     """
 
     status: str
@@ -201,15 +216,15 @@ class _PivotState:
                 self.bland = True
 
 
-def _run_phase(t: np.ndarray, basis: np.ndarray, enterable: np.ndarray,
-               state: _PivotState) -> str:
-    """Pivot until optimal/unbounded/stalled.  Cost row is t[-1]."""
+def _run_phase(t: np.ndarray, basis: np.ndarray, n: int, state: _PivotState) -> str:
+    """Pivot until optimal/unbounded/stalled.  Cost row is t[-1]; only the
+    first n (structural) columns may enter."""
     m = t.shape[0] - 1
     while True:
         if state.iterations > state.max_iter:
             return STALLED
-        red = t[-1, :-1]
-        candidates = np.where(enterable & (red < -OPT_TOL))[0]
+        red = t[-1, :n]
+        candidates = np.flatnonzero(red < -OPT_TOL)
         if candidates.size == 0:
             return OPTIMAL
         if state.bland:
@@ -230,35 +245,76 @@ def _run_phase(t: np.ndarray, basis: np.ndarray, enterable: np.ndarray,
         _pivot(t, basis, row, col)
 
 
+def _unit_start(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row orientation and starting column of each row of A z = b.
+
+    A column whose only nonzero is +-1 in row i is basic in row i from the
+    start once row i is oriented to give it +1 with b_i >= 0.  Rows with
+    b_i < 0 are flipped; a row with b_i = 0 is flipped when it has a -1
+    unit column and no +1 one.  Returns the flip mask and, per row, the
+    lowest-index such column (-1 for rows that need an artificial).
+    """
+    m = a.shape[0]
+    start = np.full(m, -1)
+    flip = b < 0
+    if m == 0:
+        return flip, start
+    nz = a != 0.0
+    cols = np.flatnonzero(np.count_nonzero(nz, axis=0) == 1)
+    rows = np.argmax(nz[:, cols], axis=0)
+    vals = a[rows, cols]
+    unit = np.abs(vals) == 1.0
+    cols, rows, vals = cols[unit], rows[unit], vals[unit]
+    has_plus = np.zeros(m, dtype=bool)
+    has_plus[rows[vals > 0]] = True
+    has_minus = np.zeros(m, dtype=bool)
+    has_minus[rows[vals < 0]] = True
+    flip |= (b == 0) & has_minus & ~has_plus
+    usable = (vals > 0) != flip[rows]
+    first_rows, first = np.unique(rows[usable], return_index=True)
+    start[first_rows] = cols[usable][first]
+    return flip, start
+
+
 def _simplex_standard(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict:
     """Two-phase simplex on min c.z, A z = b, z >= 0.
 
     Returns a dict with status, z, y (row duals), ray, phase1_gap.
-    Artificial variables are barred from entering in both phases; rows
-    whose artificial cannot be driven out after phase 1 are redundant and
-    stay inert.  Rows with b_i < 0 are negated in place, so a and b are
-    overwritten; pass arrays the caller no longer needs.
+
+    Phase 1 starts on the unit columns the standard form already has (see
+    _unit_start): a slack, a surplus of a flipped row, or any column whose
+    single nonzero is +-1.  Only rows without one get an artificial
+    variable, and the phase-1 objective sums those artificials alone, so
+    the tableau has one column per artificial, not one per row.
+    Artificials never enter; rows whose artificial cannot be driven out
+    after phase 1 are redundant and stay inert.  The dual of row i is read
+    from the column that started basic there: y_i = c_j - red_j, with
+    c_j = 0 for an artificial, negated back for a flipped row.  Rows are
+    negated in place, so a and b are overwritten; pass arrays the caller
+    no longer needs.
     """
     m, n = a.shape
-    flip = b < 0
+    flip, start = _unit_start(a, b)
     a[flip] *= -1.0
     b[flip] *= -1.0
+    art = np.flatnonzero(start < 0)
+    k = art.size
+    basis = start.copy()
+    basis[art] = n + np.arange(k)
+    first = basis.copy()
 
-    t = np.zeros((m + 1, n + m + 1))
+    t = np.zeros((m + 1, n + k + 1))
     t[:m, :n] = a
-    t[:m, n:n + m] = np.eye(m)
+    t[art, basis[art]] = 1.0
     t[:m, -1] = b
-    basis = np.arange(n, n + m)
 
-    # Phase-1 reduced costs for cost vector (0,...,0,1,...,1).
-    t[-1, :n] = -a.sum(axis=0)
-    t[-1, -1] = -b.sum()
-
-    enterable = np.zeros(n + m, dtype=bool)
-    enterable[:n] = True
+    # Phase-1 reduced costs for cost vector (0,...,0,1,...,1) over the
+    # artificials; the starting unit columns have no entry in their rows.
+    t[-1, :n] = -a[art].sum(axis=0)
+    t[-1, -1] = -b[art].sum()
 
     state = _PivotState(threshold=2 * (m + n), max_iter=1000 + 100 * (m + n))
-    status = _run_phase(t, basis, enterable, state)
+    status = _run_phase(t, basis, n, state)
     if status == STALLED:
         return {"status": STALLED}
     if status == UNBOUNDED:
@@ -279,35 +335,35 @@ def _simplex_standard(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict:
                 _pivot(t, basis, i, int(nz[0]))
 
     # Install phase-2 costs.
-    c_ext = np.concatenate([c, np.zeros(m)])
+    c_ext = np.concatenate([c, np.zeros(k)])
     cb = c_ext[basis]
     t[-1, :-1] = c_ext - cb @ t[:m, :-1]
     t[-1, -1] = -float(cb @ t[:m, -1])
     t[-1, basis] = 0.0
 
-    status = _run_phase(t, basis, enterable, state)
+    status = _run_phase(t, basis, n, state)
     if status == STALLED:
         return {"status": STALLED}
 
     if status == UNBOUNDED:
-        red = t[-1, :-1]
-        candidates = np.where(enterable & (red < -OPT_TOL))[0]
+        red = t[-1, :n]
+        candidates = np.flatnonzero(red < -OPT_TOL)
         col = None
         for j in candidates:
             if not np.any(t[:m, j] > PIVOT_TOL):
                 col = int(j)
                 break
-        ray = np.zeros(n + m)
+        ray = np.zeros(n + k)
         if col is not None:
             ray[col] = 1.0
             ray[basis] = np.maximum(-t[:m, col], 0.0)
-        z = np.zeros(n + m)
+        z = np.zeros(n + k)
         z[basis] = np.maximum(t[:m, -1], 0.0)
         return {"status": UNBOUNDED, "z": z[:n], "ray": ray[:n]}
 
-    z = np.zeros(n + m)
+    z = np.zeros(n + k)
     z[basis] = np.maximum(t[:m, -1], 0.0)
-    y = -t[-1, n:n + m].copy()
+    y = c_ext[first] - t[-1, first]
     y[flip] *= -1.0
     return {
         "status": OPTIMAL,
@@ -315,6 +371,20 @@ def _simplex_standard(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict:
         "y": y,
         "objective": float(c @ z[:n]),
     }
+
+
+def _primal_feasible(p: LPProblem, x: np.ndarray) -> bool:
+    """Whether x meets every row and sign bound of p in original units.
+
+    Row i may miss its relation by FEAS_TOL * (1 + |b_i| + |a_i|.|x|), a
+    nonnegative variable may dip below zero by FEAS_TOL.
+    """
+    resid = p.a @ x - p.b
+    rels = np.asarray(p.rels)
+    miss = np.where(rels == "=", np.abs(resid),
+                    np.maximum(np.where(rels == "<=", resid, -resid), 0.0))
+    bound = FEAS_TOL * (1.0 + np.abs(p.b) + np.abs(p.a) @ np.abs(x))
+    return bool(np.all(miss <= bound) and np.all(x[~p.free] >= -FEAS_TOL))
 
 
 def solve(p: LPProblem) -> LPSolution:
@@ -333,6 +403,8 @@ def solve(p: LPProblem) -> LPSolution:
             ray=fmap.to_original(out["ray"]),
         )
     x = fmap.to_original(out["z"])
+    if not _primal_feasible(p, x):
+        return LPSolution(status=INACCURATE)
     y = out["y"]
     if fmap.negated_objective:
         y = -y

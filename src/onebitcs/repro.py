@@ -173,21 +173,25 @@ def repro_example(tol: TolerancePolicy | None = None,
 
     alternative = None
     if builtin and sol.status == lp.OPTIMAL:
-        x_ref = np.array([1.0, 0.0, 0.0, 0.0])
-        cert = uniqueness_certificate(phi, meas, x_ref, pol)
+        # The optimal face has several vertices; certify whichever one the
+        # solver returns and search the face for another optimum.
         problem, enc = encode_bp_lp(phi, meas)
         lp_sol = lp.solve(problem)
+        x_opt = lp_sol.primal[enc.x_cols]
+        cert = uniqueness_certificate(phi, meas, x_opt, pol)
         alt_full = lp.alternative_optimum(problem, lp_sol)
         alt_x = alt_full[enc.x_cols] if alt_full is not None else None
         alt_ok = (not cert.unique and alt_x is not None
+                  and abs(float(np.sum(np.abs(x_opt))) - 1.0) <= 1e-7
                   and abs(float(np.sum(np.abs(alt_x))) - 1.0) <= 1e-7
-                  and float(np.linalg.norm(alt_x - x_ref)) > 1e-6)
+                  and float(np.linalg.norm(alt_x - x_opt)) > 1e-6)
         alternative = alt_x
         checks.append(CheckResult(
             name="non-uniqueness",
             passed=alt_ok,
-            detail=(f"certificate at {x_ref.tolist()} reports unique={cert.unique} "
-                    f"(witness margin {cert.margin:.3g}); second optimum "
+            detail=(f"certificate at {np.round(x_opt, 6).tolist()} reports "
+                    f"unique={cert.unique} (witness margin {cert.margin:.3g}); "
+                    "second optimum "
                     f"{None if alt_x is None else np.round(alt_x, 6).tolist()}"),
         ))
         if abs(cert.margin - pol.margin_tol) <= 10 * pol.margin_tol:
