@@ -464,7 +464,7 @@ def _membership_margin(phi: np.ndarray, meas: SignMeasurement, s_plus,
     signed = meas.j_plus.size + meas.j_minus.size
     block = phi[np.ix_(rows, support)] * s
     block[:signed] *= meas.y[rows[:signed], None]
-    if np.any(np.all(block[:signed] <= 0.0, axis=1)):
+    if (block[:signed] <= 0.0).all(axis=1).any():
         return lp.MarginCertificate(t_star=0.0, witness=np.zeros(n))
 
     a = np.zeros((m + 2 * k, k))

@@ -180,7 +180,9 @@ def relaxation_gd(phi, y, tol: TolerancePolicy | None = None
     sum_i (Y phi (p - q))_i = m.  For an m x n phi that is m + 1 rows over
     2n variables (2n + m standard columns with the surpluses).
 
-    Requires y over {-1, +1} (the relaxation has no zero-row notion).
+    Requires y over {-1, +1} (the relaxation has no zero-row notion); a
+    raw vector is read by SignMeasurement.from_y, so 1.7 is rejected, not
+    truncated to 1.
     Returns (minimizer, l1 objective, consistency flag); an infeasible
     relaxation returns (None, inf, False).  Raises RuntimeError when the
     LP ends in any other non-optimal status (a simplex stall), so a
@@ -188,7 +190,7 @@ def relaxation_gd(phi, y, tol: TolerancePolicy | None = None
     """
     phi = as_matrix(phi)
     m, n = phi.shape
-    yv = np.asarray(y).astype(int) if not isinstance(y, SignMeasurement) else y.y
+    yv = (y if isinstance(y, SignMeasurement) else SignMeasurement.from_y(y)).y
     if yv.shape != (m,):
         raise ValueError(f"measurement has shape {yv.shape}, expected ({m},)")
     if not np.all(np.isin(yv, (-1, 1))):

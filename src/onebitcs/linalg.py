@@ -47,7 +47,7 @@ def as_matrix(a, allow_empty: bool = True) -> np.ndarray:
         raise ValueError(f"expected a 2-D array, got ndim={m.ndim}")
     if not allow_empty and (m.shape[0] == 0 or m.shape[1] == 0):
         raise ValueError(f"matrix must be nonempty, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -59,7 +59,7 @@ def as_vector(a, length: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 1-D array, got ndim={v.ndim}")
     if length is not None and v.shape[0] != length:
         raise ValueError(f"expected length {length}, got {v.shape[0]}")
-    if v.size and not np.all(np.isfinite(v)):
+    if v.size and not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 

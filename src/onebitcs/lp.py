@@ -11,12 +11,19 @@ row is oriented so that b_i >= 0, and a column whose only nonzero is +1
 in that row (a slack, a flipped surplus, a gap variable of the decoder)
 starts basic there.  Only rows without such a column get an artificial
 variable.  The dual of a row is read from the reduced cost of the column
-that started basic in it.  An optimal status is returned only after the
-point has been checked against every original row and sign bound.
+that started basic in it.  An optimal status is returned only after both
+halves of the answer have been checked in the problem's own units: the
+point against every row and sign bound, the multipliers for their signs,
+every variable's reduced cost and the duality gap.
+
+Every pivot is one rank-1 update of the dense tableau; the pivot rules
+are pinned (see _run_phase), so the same problem always takes the same
+pivots and returns the same bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +35,18 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 STALLED = "stalled"
 # The simplex ended optimal, but the point misses a row or sign bound of
-# the original problem by more than the primal tolerance.
+# the original problem by more than the primal tolerance, or the
+# multipliers fail a dual check.
 INACCURATE = "inaccurate"
 
-RELATIONS = ("<=", "=", ">=")
+# The relations a row may carry, each with the coefficient of its slack
+# column: +1 for <=, -1 for >=.
+_SLACK_SIGN = {"<=": 1.0, "=": 0.0, ">=": -1.0}
 
 # Pivot entries below this are treated as zero in ratio tests and drive-out.
 PIVOT_TOL = 1e-10
-# Reduced costs above -OPT_TOL count as nonnegative (phase optimality).
+# Reduced costs above -OPT_TOL count as nonnegative (phase optimality);
+# the dual checks of an optimal answer scale it as FEAS_TOL is scaled below.
 OPT_TOL = 1e-9
 # Phase-1 objective below FEAS_TOL * scale counts as feasible; an optimal
 # point must meet each original row within FEAS_TOL * (1 + |b_i| + |a_i|.|x|).
@@ -64,9 +75,9 @@ class LPProblem:
         rels = tuple(self.rels)
         if len(rels) != b.shape[0]:
             raise ValueError(f"{len(rels)} relations for {b.shape[0]} rows")
-        for r in rels:
-            if r not in RELATIONS:
-                raise ValueError(f"unknown relation {r!r}")
+        if not _SLACK_SIGN.keys() >= set(rels):
+            bad = next(r for r in rels if r not in _SLACK_SIGN)
+            raise ValueError(f"unknown relation {bad!r}")
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
         if self.free is None:
@@ -74,7 +85,8 @@ class LPProblem:
         else:
             fr = np.array(self.free, dtype=bool)
             if fr.shape != c.shape:
-                raise ValueError("free mask must have one entry per variable")
+                raise ValueError(f"free mask has shape {fr.shape}, expected {c.shape}: "
+                                 "one entry per variable")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "rels", rels)
@@ -114,8 +126,9 @@ class LPSolution:
     original variables certifying unboundedness.  phase1_gap is the
     residual infeasibility measure when status is infeasible.  An optimal
     status is returned only for a point that meets every row and sign bound
-    of the original problem within the primal tolerance (see FEAS_TOL);
-    otherwise the status is inaccurate and no point is returned.
+    of the original problem within the primal tolerance (see FEAS_TOL) and
+    multipliers that pass the dual checks (sign, reduced cost, gap; see
+    _verified); otherwise the status is inaccurate and neither is returned.
     """
 
     status: str
@@ -150,6 +163,11 @@ class StandardFormMap:
         return x
 
 
+def _slack_signs(rels: tuple[str, ...]) -> np.ndarray:
+    """Per row, +1.0 for <=, 0.0 for = and -1.0 for >=."""
+    return np.array([_SLACK_SIGN[r] for r in rels])
+
+
 def to_standard_form(p: LPProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, StandardFormMap]:
     """Rewrite as min c.z, A z = b, z >= 0.
 
@@ -160,8 +178,8 @@ def to_standard_form(p: LPProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     """
     n, r = p.n_vars, p.n_rows
     free = np.flatnonzero(p.free)
-    rels = np.array(p.rels, dtype=object)
-    ineq = np.flatnonzero(rels != "=")
+    signs = _slack_signs(p.rels)
+    ineq = np.flatnonzero(signs)
     n_free = free.size
     n_std = n + n_free + ineq.size
 
@@ -173,13 +191,13 @@ def to_standard_form(p: LPProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 
     a = np.zeros((r, n_std))
     a[:, :n] = p.a
-    a[:, neg[free]] = -p.a[:, free]
-    a[ineq, slack[ineq]] = np.where(rels[ineq] == "<=", 1.0, -1.0)
+    a[:, n:n + n_free] = -p.a[:, free]
+    a[ineq, slack[ineq]] = signs[ineq]
 
     c = np.zeros(n_std)
     sign = -1.0 if p.sense == "max" else 1.0
     c[:n] = sign * p.c
-    c[neg[free]] = -sign * p.c[free]
+    c[n:n + n_free] = -sign * p.c[free]
 
     fmap = StandardFormMap(
         n_vars=n, n_std=n_std, pos=pos, neg=neg, slack=slack,
@@ -189,12 +207,16 @@ def to_standard_form(p: LPProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 
 
 def _pivot(t: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Make column col basic in row row by one rank-1 update of t.
+
+    x / x is exactly 1 in IEEE arithmetic, so after the row division the
+    pivot entry is 1.0 and the update leaves exact zeros elsewhere in the
+    column (c - c * 1.0 = 0.0) and 1.0 at the pivot (colvals[row] is 0).
+    """
     t[row] /= t[row, col]
     colvals = t[:, col].copy()
     colvals[row] = 0.0
-    t -= np.outer(colvals, t[row])
-    t[:, col] = 0.0
-    t[row, col] = 1.0
+    t -= colvals[:, None] * t[row]
     basis[row] = col
 
 
@@ -218,29 +240,41 @@ class _PivotState:
 
 def _run_phase(t: np.ndarray, basis: np.ndarray, n: int, state: _PivotState) -> str:
     """Pivot until optimal/unbounded/stalled.  Cost row is t[-1]; only the
-    first n (structural) columns may enter."""
+    first n (structural) columns may enter.
+
+    Dantzig's rule enters the most negative reduced cost, the lowest index
+    among ties; Bland's rule the lowest index below -OPT_TOL.  A NaN in the
+    reduced costs or the ratios is a numerical breakdown and stalls.
+    """
     m = t.shape[0] - 1
+    red = t[-1, :n]
+    rhs = t[:m, -1]
     while True:
         if state.iterations > state.max_iter:
             return STALLED
-        red = t[-1, :n]
-        candidates = np.flatnonzero(red < -OPT_TOL)
-        if candidates.size == 0:
-            return OPTIMAL
         if state.bland:
-            col = int(candidates[0])
+            negative = red < -OPT_TOL
+            col = int(negative.argmax())
+            if not negative[col]:
+                return STALLED if np.isnan(red).any() else OPTIMAL
         else:
-            col = int(candidates[np.argmin(red[candidates])])
+            # argmin returns the first minimum, and the first NaN if any.
+            col = int(red.argmin())
+            lowest = red[col]
+            if not lowest < -OPT_TOL:
+                return STALLED if math.isnan(lowest) else OPTIMAL
         colvals = t[:m, col]
-        rows = np.where(colvals > PIVOT_TOL)[0]
-        if rows.size == 0:
+        rows = (colvals > PIVOT_TOL).nonzero()[0]
+        if not rows.size:
             return UNBOUNDED
-        ratios = t[rows, -1] / colvals[rows]
-        best = float(np.min(ratios))
+        ratios = rhs[rows] / colvals[rows]
+        best = float(ratios.min())
+        if math.isnan(best):
+            return STALLED
         tied = rows[ratios <= best + PIVOT_TOL]
         # Among tied rows leave the one with the smallest basis index;
         # combined with lowest-index entering this is Bland-safe.
-        row = int(tied[np.argmin(basis[tied])])
+        row = int(tied[0] if tied.size == 1 else tied[basis[tied].argmin()])
         state.note(best)
         _pivot(t, basis, row, col)
 
@@ -254,25 +288,26 @@ def _unit_start(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     unit column and no +1 one.  Returns the flip mask and, per row, the
     lowest-index such column (-1 for rows that need an artificial).
     """
-    m = a.shape[0]
-    start = np.full(m, -1)
+    m, n = a.shape
     flip = b < 0
     if m == 0:
-        return flip, start
+        return flip, np.full(0, -1)
     nz = a != 0.0
-    cols = np.flatnonzero(np.count_nonzero(nz, axis=0) == 1)
-    rows = np.argmax(nz[:, cols], axis=0)
+    cols = (nz.sum(axis=0) == 1).nonzero()[0]
+    rows = nz[:, cols].argmax(axis=0)
     vals = a[rows, cols]
-    unit = np.abs(vals) == 1.0
-    cols, rows, vals = cols[unit], rows[unit], vals[unit]
+    plus = vals == 1.0
+    minus = vals == -1.0
     has_plus = np.zeros(m, dtype=bool)
-    has_plus[rows[vals > 0]] = True
+    has_plus[rows[plus]] = True
     has_minus = np.zeros(m, dtype=bool)
-    has_minus[rows[vals < 0]] = True
+    has_minus[rows[minus]] = True
     flip |= (b == 0) & has_minus & ~has_plus
-    usable = (vals > 0) != flip[rows]
-    first_rows, first = np.unique(rows[usable], return_index=True)
-    start[first_rows] = cols[usable][first]
+    usable = np.where(flip[rows], minus, plus)
+    # The lowest usable column of each row; n marks a row without one.
+    start = np.full(m, n)
+    np.minimum.at(start, rows[usable], cols[usable])
+    start[start == n] = -1
     return flip, start
 
 
@@ -295,17 +330,18 @@ def _simplex_standard(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict:
     """
     m, n = a.shape
     flip, start = _unit_start(a, b)
-    a[flip] *= -1.0
-    b[flip] *= -1.0
+    np.negative(a, out=a, where=flip[:, None])
+    np.negative(b, out=b, where=flip)
     art = np.flatnonzero(start < 0)
     k = art.size
-    basis = start.copy()
-    basis[art] = n + np.arange(k)
+    art_cols = n + np.arange(k)
+    basis = start
+    basis[art] = art_cols
     first = basis.copy()
 
     t = np.zeros((m + 1, n + k + 1))
     t[:m, :n] = a
-    t[art, basis[art]] = 1.0
+    t[art, art_cols] = 1.0
     t[:m, -1] = b
 
     # Phase-1 reduced costs for cost vector (0,...,0,1,...,1) over the
@@ -321,18 +357,16 @@ def _simplex_standard(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict:
         # Phase-1 objective is bounded below by zero; a failed ratio test
         # here means numerical breakdown.
         return {"status": STALLED}
-    scale = 1.0 + float(np.max(b)) if m else 1.0
+    scale = 1.0 + float(b.max()) if m else 1.0
     phase1_obj = -t[-1, -1]
     if phase1_obj > FEAS_TOL * scale:
         return {"status": INFEASIBLE, "phase1_gap": float(phase1_obj)}
 
     # Drive basic artificials out wherever the row has substance.
-    for i in range(m):
-        if basis[i] >= n:
-            row = t[i, :n]
-            nz = np.where(np.abs(row) > PIVOT_TOL)[0]
-            if nz.size:
-                _pivot(t, basis, i, int(nz[0]))
+    for i in np.flatnonzero(basis >= n):
+        nz = (np.abs(t[i, :n]) > PIVOT_TOL).nonzero()[0]
+        if nz.size:
+            _pivot(t, basis, i, int(nz[0]))
 
     # Install phase-2 costs.
     c_ext = np.concatenate([c, np.zeros(k)])
@@ -364,27 +398,37 @@ def _simplex_standard(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict:
     z = np.zeros(n + k)
     z[basis] = np.maximum(t[:m, -1], 0.0)
     y = c_ext[first] - t[-1, first]
-    y[flip] *= -1.0
-    return {
-        "status": OPTIMAL,
-        "z": z[:n],
-        "y": y,
-        "objective": float(c @ z[:n]),
-    }
+    np.negative(y, out=y, where=flip)
+    return {"status": OPTIMAL, "z": z[:n], "y": y}
 
 
-def _primal_feasible(p: LPProblem, x: np.ndarray) -> bool:
-    """Whether x meets every row and sign bound of p in original units.
+def _verified(p: LPProblem, x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether x and the multipliers y are optimal for p in original units.
 
-    Row i may miss its relation by FEAS_TOL * (1 + |b_i| + |a_i|.|x|), a
-    nonnegative variable may dip below zero by FEAS_TOL.
+    Primal: row i may miss its relation by FEAS_TOL * (1 + |b_i| + |a_i|.|x|),
+    a nonnegative variable may dip below zero by FEAS_TOL.  Dual, with
+    s = 1 for min and -1 for max: s * y_i may take the wrong sign for its
+    relation (<= 0 on <= rows, >= 0 on >= rows) by OPT_TOL; the reduced
+    cost s * (c_j - a_j.y) may fall below zero, or for a free variable
+    away from zero, by OPT_TOL * (1 + |c_j| + |a_j|.|y|); and the gap
+    |b.y - c.x| may be FEAS_TOL * (1 + |b|.|y| + |c|.|x|).
     """
+    signs = _slack_signs(p.rels)
+    s = -1.0 if p.sense == "max" else 1.0
+    abs_a, abs_b, abs_c = np.abs(p.a), np.abs(p.b), np.abs(p.c)
+    abs_x, abs_y = np.abs(x), np.abs(y)
     resid = p.a @ x - p.b
-    rels = np.asarray(p.rels)
-    miss = np.where(rels == "=", np.abs(resid),
-                    np.maximum(np.where(rels == "<=", resid, -resid), 0.0))
-    bound = FEAS_TOL * (1.0 + np.abs(p.b) + np.abs(p.a) @ np.abs(x))
-    return bool(np.all(miss <= bound) and np.all(x[~p.free] >= -FEAS_TOL))
+    # How far each row is past its relation (<= 0 when it holds).
+    miss = np.where(signs, signs * resid, np.abs(resid))
+    reduced = s * (p.c - y @ p.a)
+    gap = abs(float(p.b @ y) - float(p.c @ x))
+    return bool(
+        (miss <= FEAS_TOL * (1.0 + abs_b + abs_a @ abs_x)).all()
+        and ((x >= -FEAS_TOL) | p.free).all()
+        and (signs * (s * y) <= OPT_TOL).all()
+        and (np.where(p.free, np.abs(reduced), -reduced)
+             <= OPT_TOL * (1.0 + abs_c + abs_y @ abs_a)).all()
+        and gap <= FEAS_TOL * (1.0 + float(abs_b @ abs_y) + float(abs_c @ abs_x)))
 
 
 def solve(p: LPProblem) -> LPSolution:
@@ -403,11 +447,9 @@ def solve(p: LPProblem) -> LPSolution:
             ray=fmap.to_original(out["ray"]),
         )
     x = fmap.to_original(out["z"])
-    if not _primal_feasible(p, x):
+    y = -out["y"] if fmap.negated_objective else out["y"]
+    if not _verified(p, x, y):
         return LPSolution(status=INACCURATE)
-    y = out["y"]
-    if fmap.negated_objective:
-        y = -y
     return LPSolution(
         status=OPTIMAL,
         primal=x,
@@ -462,7 +504,14 @@ def max_margin_feasibility(a, rels, b, strict, cap: float = 1.0,
     ext[idx, n] = [-1.0 if rels[i] == ">=" else 1.0 for i in strict]
     ext[r, n] = 1.0
     fmask = np.zeros(n + 1, dtype=bool)
-    fmask[:n] = True if free is None else np.asarray(free, dtype=bool)
+    if free is None:
+        fmask[:n] = True
+    else:
+        fr = np.asarray(free, dtype=bool)
+        if fr.shape != (n,):
+            raise ValueError(f"free mask has shape {fr.shape}, expected ({n},): "
+                             "one entry per variable")
+        fmask[:n] = fr
 
     c = np.zeros(n + 1)
     c[-1] = 1.0

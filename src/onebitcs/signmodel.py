@@ -50,9 +50,10 @@ class SignMeasurement:
         arr = np.asarray(y)
         if arr.ndim != 1:
             raise ValueError("measurement must be a 1-D vector")
-        arr = arr.astype(int)
-        if not np.all(np.isin(arr, (-1, 0, 1))):
+        # Checked before the integer cast, which would truncate 0.6 to 0.
+        if not np.isin(arr, (-1, 0, 1)).all():
             raise ValueError("measurement entries must lie in {-1, 0, 1}")
+        arr = arr.astype(int)
         return cls(y=arr, j_plus=np.flatnonzero(arr == 1),
                    j_minus=np.flatnonzero(arr == -1), j_zero=np.flatnonzero(arr == 0))
 

@@ -163,6 +163,13 @@ class TestRelaxation:
         with pytest.raises(ValueError):
             relaxation_gd(PHI, np.array([1, 0]))
 
+    def test_rejects_non_integer_entries(self):
+        """1.7 and -1.2 are not signs; they must not be read as 1 and -1."""
+        with pytest.raises(ValueError, match="must lie in"):
+            relaxation_gd(PHI, np.array([1.7, -1.2]))
+        x, obj, _ = relaxation_gd(PHI, np.array([1.0, -1.0]))
+        assert obj == pytest.approx(2.0 / 3.0, abs=1e-8)
+
     def test_infeasible_relaxation(self):
         # y = (1, -1) on identical rows: cone forces phi @ x = 0, so the
         # normalization row cannot be met

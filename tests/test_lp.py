@@ -75,6 +75,11 @@ def test_degenerate_instance_terminates():
     assert s.objective_value == pytest.approx(oracle.objective_value, abs=1e-9)
 
 
+def test_unknown_relation_named_in_row_order():
+    with pytest.raises(ValueError, match="unknown relation '<'"):
+        lp.LPProblem(c=np.ones(1), a=np.ones((3, 1)), rels=("<=", "<", "=>"), b=np.ones(3))
+
+
 class TestStandardForm:
     def test_free_variable_split_example(self):
         p = lp.LPProblem.from_rows(np.array([1.0]), [(np.array([1.0]), ">=", 1.0)],
@@ -199,6 +204,12 @@ class TestMarginFeasibility:
         assert cert.t_star == pytest.approx(0.0, abs=1e-12)
         free = lp.max_margin_feasibility([[1.0]], ("<=",), [0.0], strict=[0])
         assert free.t_star == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("mask", [[True], [True, False, True]])
+    def test_free_mask_length_must_match(self, mask):
+        """A length-1 mask once broadcast over every variable."""
+        with pytest.raises(ValueError, match=rf"shape \({len(mask)},\), expected \(2,\)"):
+            lp.max_margin_feasibility([[1.0, 2.0]], ("<=",), [0.0], strict=[0], free=mask)
 
 
 class TestAlternativeOptimum:
@@ -352,10 +363,93 @@ class TestPrimalVerification:
         p = lp.LPProblem(c=np.array([1.0]), a=np.array([[1.0]]), rels=(">=",),
                          b=np.array([1.0]))
         monkeypatch.setattr(lp, "_simplex_standard", lambda c, a, b: {
-            "status": lp.OPTIMAL, "z": np.array([1.0 - 1e-6]),
-            "y": np.array([1.0]), "objective": 1.0 - 1e-6})
+            "status": lp.OPTIMAL, "z": np.array([1.0 - 1e-6]), "y": np.array([1.0])})
         assert lp.solve(p).status == lp.INACCURATE
         monkeypatch.setattr(lp, "_simplex_standard", lambda c, a, b: {
-            "status": lp.OPTIMAL, "z": np.array([1.0 - 1e-9]),
-            "y": np.array([1.0]), "objective": 1.0 - 1e-9})
+            "status": lp.OPTIMAL, "z": np.array([1.0 - 1e-9]), "y": np.array([1.0])})
         assert lp.solve(p).status == lp.OPTIMAL
+
+
+class TestDualVerification:
+    # Each case pairs a feasible point with multipliers that fail exactly
+    # one dual check: (c, a, rels, b, free, z in standard columns, y).
+    DUAL_FAILURES = {
+        # y_1 < 0 on a >= row of a minimization; reduced cost and gap hold
+        "sign": ([1.0], [[1.0], [1.0]], (">=", ">="), [1.0, 1.0], None, [1.0], [2.0, -1.0]),
+        # x = (1, 0) is not optimal: x_2 has reduced cost 0 - 1 < 0
+        "reduced_cost": ([1.0, 0.0], [[1.0, 1.0]], (">=",), [1.0], None, [1.0, 0.0], [1.0]),
+        # a free variable needs a zero reduced cost, here 1 - 0.5
+        "free_reduced_cost": ([1.0], [[1.0]], (">=",), [0.0], [True], [0.0, 0.0], [0.5]),
+        # x = 2 is feasible, y = 1 dual feasible, but b.y = 1 < c.x = 2
+        "gap": ([1.0], [[1.0]], (">=",), [1.0], None, [2.0], [1.0]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DUAL_FAILURES))
+    def test_unverified_dual_is_inaccurate(self, monkeypatch, case):
+        c, a, rels, b, free, z, y = self.DUAL_FAILURES[case]
+        p = lp.LPProblem(c=np.array(c), a=np.array(a), rels=rels, b=np.array(b), free=free)
+        monkeypatch.setattr(lp, "_simplex_standard", lambda *args: {
+            "status": lp.OPTIMAL, "z": np.array(z), "y": np.array(y)})
+        assert lp.solve(p).status == lp.INACCURATE
+
+
+class TestPivotRules:
+    """Hand-built tableaux for _run_phase: t[-1] holds the reduced costs,
+    t[:, -1] the right-hand side, basis the basic column of each row."""
+
+    class Pivoted(Exception):
+        pass
+
+    def first_pivot(self, monkeypatch, t, basis, bland=False):
+        """(row, col) of the first pivot _run_phase chooses on t."""
+        def stop(t, basis, row, col):
+            raise self.Pivoted(row, col)
+
+        monkeypatch.setattr(lp, "_pivot", stop)
+        state = lp._PivotState(threshold=100, max_iter=100)
+        state.bland = bland
+        with pytest.raises(self.Pivoted) as info:
+            lp._run_phase(np.array(t), np.array(basis), len(t[0]) - 1, state)
+        return info.value.args
+
+    # columns 3 and 4 are basic in rows 0 and 1; 1 and 2 tie on -5
+    TABLEAU = [[1.0, 1.0, 1.0, 1.0, 0.0, 4.0],
+               [1.0, 2.0, 2.0, 0.0, 1.0, 6.0],
+               [-2.0, -5.0, -5.0, 0.0, 0.0, 0.0]]
+
+    def test_dantzig_tie_enters_lowest_index(self, monkeypatch):
+        assert self.first_pivot(monkeypatch, self.TABLEAU, [3, 4]) == (1, 1)
+
+    def test_bland_enters_first_negative(self, monkeypatch):
+        assert self.first_pivot(monkeypatch, self.TABLEAU, [3, 4], bland=True) == (0, 0)
+
+    def test_ratio_tie_leaves_smallest_basis_index(self, monkeypatch):
+        # rows 0 and 1 both allow a step of 2; row 1 holds column 1
+        t = [[2.0, 0.0, 1.0, 4.0],
+             [1.0, 1.0, 0.0, 2.0],
+             [-1.0, 0.0, 0.0, 0.0]]
+        assert self.first_pivot(monkeypatch, t, [2, 1]) == (1, 0)
+
+    def test_pivot_column_is_exact_unit_vector(self):
+        t = np.array([[0.1, 3.0, 7.0],
+                      [1.0 / 3.0, 0.7, 2.0],
+                      [-0.3, -1e-17, 0.0]])
+        basis = np.array([5, 6])
+        lp._pivot(t, basis, 0, 1)
+        assert t[:, 1].tolist() == [1.0, 0.0, 0.0]
+        assert not np.signbit(t[:, 1]).any()
+        assert basis.tolist() == [1, 6]
+
+    @pytest.mark.parametrize("bland", [False, True])
+    def test_nan_reduced_cost_stalls(self, bland):
+        t = np.array([[1.0, 1.0, 1.0],
+                      [np.nan, 0.5, 0.0]])
+        state = lp._PivotState(threshold=100, max_iter=100)
+        state.bland = bland
+        assert lp._run_phase(t, np.array([1]), 2, state) == lp.STALLED
+
+    def test_nan_ratio_stalls(self):
+        t = np.array([[1.0, np.nan],
+                      [-1.0, 0.0]])
+        state = lp._PivotState(threshold=100, max_iter=100)
+        assert lp._run_phase(t, np.array([1]), 1, state) == lp.STALLED

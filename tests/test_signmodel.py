@@ -61,6 +61,9 @@ def test_partition_covers_all_rows():
 def test_measurement_rejects_bad_entries():
     with pytest.raises(ValueError):
         SignMeasurement.from_y(np.array([1, 2]))
+    # not truncated to [0, -1]
+    with pytest.raises(ValueError):
+        SignMeasurement.from_y([0.6, -1.4])
 
 
 def test_measure_consistency_round_trip():
