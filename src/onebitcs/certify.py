@@ -38,6 +38,7 @@ from .signmodel import (
     ActiveSets,
     SignMeasurement,
     active_sets,
+    as_measurement,
     signed_support,
 )
 
@@ -133,14 +134,6 @@ class RrspEvidence:
     margin: float
     holds: bool
     note: str
-
-
-def _measurement(y, m: int) -> SignMeasurement:
-    """y as a SignMeasurement, checked to have one row per matrix row."""
-    meas = y if isinstance(y, SignMeasurement) else SignMeasurement.from_y(y)
-    if meas.m != m:
-        raise ValueError(f"measurement has {meas.m} rows, matrix has {m}")
-    return meas
 
 
 class _Roles(NamedTuple):
@@ -321,8 +314,8 @@ def uniqueness_certificate(phi, y, x,
     restriction-pair test of the sweeps at the point's own pair.
     """
     pol = tol or DEFAULT_TOLERANCES
-    meas = y if isinstance(y, SignMeasurement) else SignMeasurement.from_y(y)
     phi = as_matrix(phi)
+    meas = as_measurement(y, phi.shape[0])
     sp, sm, acts, roles = _at_point(phi, meas, x, pol)
     cm = _cert_matrix(phi, roles, sp, sm)
     rank = column_rank(cm.h, pol)
@@ -389,7 +382,7 @@ def relaxation_consistency(phi, y, mode: str,
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
     m, n = phi.shape
-    meas = _measurement(y, m)
+    meas = as_measurement(y, m)
     if mode not in _AUDIT_MODES:
         raise ValueError(f"unknown audit mode {mode!r}; pick one of {_AUDIT_MODES}")
     if mode in (NONSTANDARD_X, NONSTANDARD_PHIX):
@@ -496,7 +489,7 @@ def membership_P(phi, y, s_plus, s_minus,
     """
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
-    meas = _measurement(y, phi.shape[0])
+    meas = as_measurement(y, phi.shape[0])
     cert = _membership_margin(phi, meas, s_plus, s_minus)
     return cert.t_star >= pol.margin_tol
 
@@ -511,7 +504,7 @@ def pattern_witness(phi, y, s_plus, s_minus,
     """
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
-    meas = _measurement(y, phi.shape[0])
+    meas = as_measurement(y, phi.shape[0])
     cert = _membership_margin(phi, meas, s_plus, s_minus)
     if cert.t_star < pol.margin_tol or cert.witness is None:
         return None
@@ -536,7 +529,7 @@ def patterns_of_measurement(phi, meas: SignMeasurement, k: int,
     Raises ValueError when meas does not have one row per row of phi."""
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
-    meas = _measurement(meas, phi.shape[0])
+    meas = as_measurement(meas, phi.shape[0])
     return [(sp, sm) for sp, sm in _signed_patterns(phi.shape[1], k)
             if membership_P(phi, meas, sp, sm, pol)]
 
@@ -606,7 +599,7 @@ def rrsp_wrt_y(phi, y, k: int, variant: str,
     """
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
-    meas = _measurement(y, phi.shape[0])
+    meas = as_measurement(y, phi.shape[0])
     if variant not in (SUFFICIENT, NECESSARY):
         raise ValueError(f"variant must be sufficient or necessary, got {variant!r}")
     n = phi.shape[1]

@@ -209,9 +209,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     phi = _read_matrix(args.matrix)
     y = _read_measurement(args.y)
     meas = SignMeasurement.from_y(y)
-    k_max = args.k if args.k is not None else None
-    sparsest = oracle.l0_min(phi, meas, k_max=k_max, tol=pol)
-    problem, enc = encode_bp_lp(phi, meas)
+    sparsest = oracle.l0_min(phi, meas, k_max=args.k, tol=pol)
+    problem, _ = encode_bp_lp(phi, meas)
     vertex = oracle.lp_vertex_oracle(problem, tol=pol)
     bp = one_bit_bp(phi, meas, pol)
     payload = {

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import lp
 from .linalg import TolerancePolicy, as_matrix
-from .signmodel import STANDARD, SignMeasurement, is_consistent, sign_standard
+from .signmodel import STANDARD, SignMeasurement, as_measurement, is_consistent, sign_standard
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,14 @@ class BPSolution:
 def encode_bp_lp(phi, meas: SignMeasurement) -> tuple[lp.LPProblem, BPEncoding]:
     """Build the sign-consistent l1 decoder as an explicit LP.
 
-    Raises ValueError when the measurement is identically zero (the
-    decoder would just return 0 and certification is vacuous there).
+    meas may be a SignMeasurement or a raw vector over {-1, 0, 1}.  Raises
+    ValueError when it does not have one row per row of phi, or is
+    identically zero (the decoder would just return 0 and certification
+    is vacuous there).
     """
     phi = as_matrix(phi)
     m, n = phi.shape
-    if meas.m != m:
-        raise ValueError(f"measurement has {meas.m} rows, matrix has {m}")
+    meas = as_measurement(meas, m)
     if meas.is_zero():
         raise ValueError("decoder is undefined for the zero measurement")
     p, q, z = meas.j_plus.size, meas.j_minus.size, meas.j_zero.size
@@ -151,8 +152,7 @@ def one_bit_bp(phi, y, tol: TolerancePolicy | None = None) -> BPSolution:
     y may be a SignMeasurement or a raw vector over {-1, 0, 1}.  An
     infeasible status means no signal at all is consistent with y.
     """
-    meas = y if isinstance(y, SignMeasurement) else SignMeasurement.from_y(y)
-    problem, enc = encode_bp_lp(phi, meas)
+    problem, enc = encode_bp_lp(phi, y)
     sol = lp.solve(problem)
     if sol.status == lp.INFEASIBLE:
         return BPSolution(status=lp.INFEASIBLE)
@@ -190,9 +190,7 @@ def relaxation_gd(phi, y, tol: TolerancePolicy | None = None
     """
     phi = as_matrix(phi)
     m, n = phi.shape
-    yv = (y if isinstance(y, SignMeasurement) else SignMeasurement.from_y(y)).y
-    if yv.shape != (m,):
-        raise ValueError(f"measurement has shape {yv.shape}, expected ({m},)")
+    yv = as_measurement(y, m).y
     if not np.all(np.isin(yv, (-1, 1))):
         raise ValueError("relaxation needs entries in {-1, +1} only")
 

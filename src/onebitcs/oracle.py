@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .signmodel import (
     ActiveSets,
     SignMeasurement,
     active_sets,
+    as_measurement,
     is_consistent,
     minimal_scaling,
     sign_standard,
@@ -41,8 +42,11 @@ L0_MAX_COLS = 14
 L0_MAX_SPARSITY = 3
 
 
-def _feas_tol(a_row: np.ndarray, x: np.ndarray, rhs: float) -> float:
-    return 1e-7 * (1.0 + float(np.abs(a_row) @ np.abs(x)) + abs(rhs))
+# Sense codes of the oracle's row form: s_i (a_i x - b_i) >= 0, and
+# a_i x = b_i where s_i is 0.  Rows are never negated.
+_SENSE = {">=": 1, "<=": -1, "=": 0}
+# Candidate active sets solved per batch.
+_CHUNK = 1024
 
 
 def _independent_rows(a: np.ndarray, tol: TolerancePolicy) -> list[int]:
@@ -54,73 +58,64 @@ def _independent_rows(a: np.ndarray, tol: TolerancePolicy) -> list[int]:
     return kept
 
 
-def _vertex_sweep(eqs, eq_rhs, ineqs, c_eff, tol, budget):
-    """Enumerate vertices of {eq rows hold, ineq rows hold} and minimize c_eff.
+def _feasible(x: np.ndarray, a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Which rows of x (one candidate point each) satisfy every row of
+    (a, b, s) within 1e-7 (1 + |a_i| |x| + |b_i|)."""
+    v = x @ a.T
+    ft = 1e-7 * (1.0 + np.abs(x) @ np.abs(a).T + np.abs(b))
+    ok = np.where(s > 0, v >= b - ft,
+                  np.where(s < 0, v <= b + ft, np.abs(v - b) <= ft))
+    return ok.all(axis=1)
 
-    eqs is an (r, n) array (possibly empty), ineqs a list of
-    (normal, relation, rhs).  Returns (feasible, best_x, best_obj).
-    Raises ValueError when the candidate count exceeds the budget.
+
+def _vertex_sweep(a, b, s, c_eff, tol, budget):
+    """Enumerate vertices of the row form (a, b, s) and minimize c_eff.
+
+    Every equality row (s_i = 0) is active; the remaining active set runs
+    over subsets of the inequality rows, in combinations order, and the
+    first candidate beating the best objective by more than 1e-12 wins.
+    Returns (feasible, best_x, best_obj).  Raises ValueError when the
+    candidate count exceeds the budget.
     """
-    n = eqs.shape[1]
-    if eqs.shape[0]:
-        aug = np.hstack([eqs, eq_rhs[:, None]])
-        if column_rank(aug, tol) > column_rank(eqs, tol):
+    n = a.shape[1]
+    eq = s == 0
+    eq_a, eq_b = a[eq], b[eq]
+    if eq_a.shape[0]:
+        aug = np.hstack([eq_a, eq_b[:, None]])
+        if column_rank(aug, tol) > column_rank(eq_a, tol):
             return False, None, None
-        kept = _independent_rows(eqs, tol)
-        eq_a = eqs[kept]
-        eq_b = eq_rhs[kept]
-    else:
-        eq_a = np.zeros((0, n))
-        eq_b = np.zeros(0)
-    r0 = eq_a.shape[0]
-    slots = n - r0
+        kept = _independent_rows(eq_a, tol)
+        eq_a, eq_b = eq_a[kept], eq_b[kept]
+    g, h = a[~eq], b[~eq]
+    slots = n - eq_a.shape[0]
 
-    def feasible_point(x: np.ndarray) -> bool:
-        for a_row, b in zip(eqs, eq_rhs):
-            if abs(float(a_row @ x) - b) > _feas_tol(a_row, x, b):
-                return False
-        for a_row, rel, b in ineqs:
-            v = float(a_row @ x)
-            ft = _feas_tol(a_row, x, b)
-            if rel == ">=" and v < b - ft:
-                return False
-            if rel == "<=" and v > b + ft:
-                return False
-        return True
-
-    best_x = None
-    best_obj = None
-    if slots == 0:
-        try:
-            x = np.linalg.solve(eq_a, eq_b)
-        except np.linalg.LinAlgError:
-            return False, None, None
-        if feasible_point(x):
-            return True, x, float(c_eff @ x)
-        return False, None, None
-
-    count = math.comb(len(ineqs), slots)
+    count = math.comb(g.shape[0], slots)
     if count > budget:
         raise ValueError(
             f"vertex enumeration needs {count} candidates, beyond the "
             f"budget of {budget}; instance too large for the oracle")
-    for chosen in combinations(range(len(ineqs)), slots):
-        m_rows = np.vstack([eq_a] + [ineqs[i][0][None, :] for i in chosen])
-        rhs = np.concatenate([eq_b, [ineqs[i][2] for i in chosen]])
-        try:
-            x = np.linalg.solve(m_rows, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(x)):
-            continue
-        if float(np.max(np.abs(m_rows @ x - rhs), initial=0.0)) > 1e-6 * (1.0 + float(np.max(np.abs(rhs), initial=0.0))):
-            continue
-        if not feasible_point(x):
-            continue
-        obj = float(c_eff @ x)
-        if best_obj is None or obj < best_obj - 1e-12:
-            best_obj = obj
-            best_x = x
+    best_x = None
+    best_obj = None
+    sets = combinations(range(g.shape[0]), slots)
+    while chunk := list(islice(sets, _CHUNK)):
+        chosen = np.array(chunk, dtype=int).reshape(len(chunk), slots)
+        mats = np.concatenate(
+            [np.broadcast_to(eq_a, (len(chunk), *eq_a.shape)), g[chosen]], axis=1)
+        rhs = np.concatenate(
+            [np.broadcast_to(eq_b, (len(chunk), eq_b.size)), h[chosen]], axis=1)
+        # An exactly zero LU pivot: the sets np.linalg.solve would refuse.
+        regular = np.linalg.slogdet(mats)[0] != 0
+        mats, rhs = mats[regular], rhs[regular]
+        x = np.linalg.solve(mats, rhs[..., None])[..., 0]
+        finite = np.isfinite(x).all(axis=1)
+        mats, rhs, x = mats[finite], rhs[finite], x[finite]
+        resid = np.abs((mats @ x[..., None])[..., 0] - rhs).max(axis=1, initial=0.0)
+        x = x[resid <= 1e-6 * (1.0 + np.abs(rhs).max(axis=1, initial=0.0))]
+        for xi in x[_feasible(x, a, b, s)]:
+            obj = float(c_eff @ xi)
+            if best_obj is None or obj < best_obj - 1e-12:
+                best_obj = obj
+                best_x = xi
     if best_x is None:
         return False, None, None
     return True, best_x, best_obj
@@ -143,65 +138,46 @@ def lp_vertex_oracle(p: lp.LPProblem, budget: int = VERTEX_BUDGET,
     sign = -1.0 if p.sense == "max" else 1.0
     c_eff = sign * p.c
 
-    eq_rows = [i for i, r in enumerate(p.rels) if r == "="]
-    eqs = p.a[eq_rows] if eq_rows else np.zeros((0, n))
-    eq_rhs = p.b[eq_rows] if eq_rows else np.zeros(0)
-    ineqs: list[tuple[np.ndarray, str, float]] = []
-    for i, r in enumerate(p.rels):
-        if r != "=":
-            ineqs.append((p.a[i].copy(), r, float(p.b[i])))
-    for j in range(n):
-        if not p.free[j]:
-            e = np.zeros(n)
-            e[j] = 1.0
-            ineqs.append((e, ">=", 0.0))
+    # Row form: equality rows, inequality rows, then x_j >= 0 for each
+    # sign-constrained variable.
+    codes = np.array([_SENSE[r] for r in p.rels], dtype=int)
+    eq = codes == 0
+    bounded = ~p.free
+    a = np.vstack([p.a[eq], p.a[~eq], np.eye(n)[bounded]])
+    b = np.concatenate([p.b[eq], p.b[~eq], np.zeros(int(bounded.sum()))])
+    s = np.concatenate([codes[eq], codes[~eq], np.ones(int(bounded.sum()), dtype=int)])
 
-    # Lineality space: directions along which every constraint is blind.
-    normal_stack = np.vstack([eqs] + [a[None, :] for a, _, _ in ineqs]) \
-        if (eqs.shape[0] or ineqs) else np.zeros((0, n))
-    lin = null_space_basis(normal_stack, pol)
-    extra_eqs = []
+    # Lineality space: directions along which every constraint is blind;
+    # pinned to zero as extra equality rows.
+    lin = null_space_basis(a, pol)
     if lin.shape[1]:
         cl = c_eff @ lin
-        pinned = [(lin[:, i], 0.0) for i in range(lin.shape[1])]
-        extra_eqs = pinned
+        a = np.vstack([a, lin.T])
+        b = np.concatenate([b, np.zeros(lin.shape[1])])
+        s = np.concatenate([s, np.zeros(lin.shape[1], dtype=int)])
         if float(np.max(np.abs(cl))) > 1e-9 * (1.0 + float(np.max(np.abs(c_eff), initial=0.0))):
-            eqs2 = np.vstack([eqs] + [d[None, :] for d, _ in pinned])
-            rhs2 = np.concatenate([eq_rhs, np.zeros(len(pinned))])
-            feas, _, _ = _vertex_sweep(eqs2, rhs2, ineqs, np.zeros(n), pol, budget)
+            feas, _, _ = _vertex_sweep(a, b, s, np.zeros(n), pol, budget)
             if not feas:
                 return lp.LPSolution(status=lp.INFEASIBLE)
             i_best = int(np.argmax(np.abs(cl)))
             ray = -np.sign(cl[i_best]) * lin[:, i_best]
             return lp.LPSolution(status=lp.UNBOUNDED, ray=ray)
 
-    if extra_eqs:
-        eqs = np.vstack([eqs] + [d[None, :] for d, _ in extra_eqs])
-        eq_rhs = np.concatenate([eq_rhs, np.zeros(len(extra_eqs))])
-
-    feas, x_best, _ = _vertex_sweep(eqs, eq_rhs, ineqs, c_eff, pol, budget)
+    feas, x_best, _ = _vertex_sweep(a, b, s, c_eff, pol, budget)
     if not feas:
         return lp.LPSolution(status=lp.INFEASIBLE)
 
     # Boundedness.  Cheap certificate first: a minimization whose cost is
     # zero on free variables and nonnegative on sign-constrained ones is
     # bounded below on the feasible set.
-    precheck = all(
-        (p.free[j] and abs(c_eff[j]) <= 1e-15) or (not p.free[j] and c_eff[j] >= -1e-15)
-        for j in range(n)
-    )
-    if not precheck:
-        cone_ineqs = [(a, rel, 0.0) for a, rel, _ in ineqs]
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            cone_ineqs.append((e, "<=", 1.0))
-            cone_ineqs.append((e, ">=", -1.0))
-        cone_eqs = eqs.copy()
-        cone_rhs = np.zeros(eqs.shape[0])
-        feas_cone, d_best, d_obj = _vertex_sweep(
-            cone_eqs, cone_rhs, cone_ineqs, c_eff, pol, budget)
-        if feas_cone and d_obj is not None and d_obj < -1e-9 * (1.0 + float(np.max(np.abs(c_eff)))):
+    if not np.where(p.free, np.abs(c_eff) <= 1e-15, c_eff >= -1e-15).all():
+        # Recession cone: every row with zero right-hand side, boxed by
+        # d_j <= 1 then d_j >= -1 for each variable.
+        cone_a = np.vstack([a, np.repeat(np.eye(n), 2, axis=0)])
+        cone_b = np.concatenate([np.zeros(a.shape[0]), np.tile([1.0, -1.0], n)])
+        cone_s = np.concatenate([s, np.tile([-1, 1], n)])
+        feas_cone, d_best, d_obj = _vertex_sweep(cone_a, cone_b, cone_s, c_eff, pol, budget)
+        if feas_cone and d_obj < -1e-9 * (1.0 + float(np.max(np.abs(c_eff)))):
             return lp.LPSolution(status=lp.UNBOUNDED, primal=x_best, ray=d_best)
 
     return lp.LPSolution(
@@ -238,9 +214,7 @@ def l0_min(phi, y, k_max: int | None = None,
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
     m, n = phi.shape
-    meas = y if isinstance(y, SignMeasurement) else SignMeasurement.from_y(y)
-    if meas.m != m:
-        raise ValueError(f"measurement has {meas.m} rows, matrix has {m}")
+    meas = as_measurement(y, m)
     if meas.is_zero():
         raise ValueError("sparsest-signal search is undefined for the zero measurement")
     if k_max is None:
@@ -281,7 +255,7 @@ def enumerate_P(phi, y, k: int,
     """All signed supports of size <= k realized by consistent signals."""
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
-    meas = y if isinstance(y, SignMeasurement) else SignMeasurement.from_y(y)
+    meas = as_measurement(y, phi.shape[0])
     if meas.is_zero():
         raise ValueError("pattern enumeration is undefined for the zero measurement")
     if phi.shape[1] > L0_MAX_COLS and k > L0_MAX_SPARSITY:
@@ -443,7 +417,7 @@ def active_set_augmentation(phi, y, x,
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
     m, n = phi.shape
-    meas = y if isinstance(y, SignMeasurement) else SignMeasurement.from_y(y)
+    meas = as_measurement(y, m)
     x = as_vector(x, n).copy()
     if not is_consistent(phi, x, meas, tol=pol):
         raise ValueError("walk needs a sign-consistent starting signal")

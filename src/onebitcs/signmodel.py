@@ -65,23 +65,12 @@ class SignMeasurement:
         return bool(np.all(self.y == 0))
 
 
-@dataclass(frozen=True, eq=False)
-class SignalVector:
-    """A signal with its signed support split out by sign_tol."""
-
-    x: np.ndarray
-    s_plus: np.ndarray
-    s_minus: np.ndarray
-    support: np.ndarray
-
-    @classmethod
-    def from_x(cls, x, tol: TolerancePolicy | None = None) -> "SignalVector":
-        pol = tol or DEFAULT_TOLERANCES
-        arr = as_vector(x)
-        sp = np.flatnonzero(arr > pol.sign_tol)
-        sm = np.flatnonzero(arr < -pol.sign_tol)
-        return cls(x=arr, s_plus=sp, s_minus=sm,
-                   support=np.sort(np.concatenate([sp, sm])))
+def as_measurement(y, m: int) -> SignMeasurement:
+    """y as a SignMeasurement, checked to have one row per matrix row."""
+    meas = y if isinstance(y, SignMeasurement) else SignMeasurement.from_y(y)
+    if meas.m != m:
+        raise ValueError(f"measurement has {meas.m} rows, matrix has {m}")
+    return meas
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +88,9 @@ class ActiveSets:
 
 def signed_support(x, tol: TolerancePolicy | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(positive support, negative support) of x under sign_tol."""
-    sv = SignalVector.from_x(x, tol)
-    return sv.s_plus, sv.s_minus
+    pol = tol or DEFAULT_TOLERANCES
+    arr = as_vector(x)
+    return np.flatnonzero(arr > pol.sign_tol), np.flatnonzero(arr < -pol.sign_tol)
 
 
 def measure(phi, x, mode: str = STANDARD, tol: TolerancePolicy | None = None) -> SignMeasurement:
@@ -117,7 +107,11 @@ def measure(phi, x, mode: str = STANDARD, tol: TolerancePolicy | None = None) ->
 
 def is_consistent(phi, x, meas: SignMeasurement, mode: str = STANDARD,
                   tol: TolerancePolicy | None = None) -> bool:
-    """Exact equality of the recomputed sign vector with meas.y."""
+    """Exact equality of the recomputed sign vector with meas.y.
+
+    Raises ValueError when meas does not have one row per row of phi."""
+    phi = as_matrix(phi)
+    meas = as_measurement(meas, phi.shape[0])
     return bool(np.array_equal(measure(phi, x, mode, tol).y, meas.y))
 
 
@@ -132,8 +126,7 @@ def active_sets(phi, x, meas: SignMeasurement, tol: TolerancePolicy | None = Non
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
     x = as_vector(x, phi.shape[1])
-    if meas.m != phi.shape[0]:
-        raise ValueError(f"measurement has {meas.m} rows, matrix has {phi.shape[0]}")
+    meas = as_measurement(meas, phi.shape[0])
     v = phi @ x
     jp, jm, jz = meas.j_plus, meas.j_minus, meas.j_zero
     t = pol.active_tol
@@ -159,6 +152,7 @@ def minimal_scaling(phi, x, meas: SignMeasurement, tol: TolerancePolicy | None =
     """
     phi = as_matrix(phi)
     x = as_vector(x, phi.shape[1])
+    meas = as_measurement(meas, phi.shape[0])
     if meas.is_zero():
         raise ValueError("minimal scaling is undefined for the zero measurement")
     if not is_consistent(phi, x, meas, STANDARD, tol):

@@ -241,3 +241,39 @@ class TestAugmentationWalk:
                 assert column_rank(cm.h) == cm.h.shape[1]
                 verified += 1
         assert verified >= 10
+
+
+class TestVertexOracleContract:
+    """What the vertex oracle keeps whatever its implementation."""
+
+    @pytest.fixture
+    def no_simplex(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the vertex oracle called the simplex")
+        monkeypatch.setattr(lp, "solve", refuse)
+        monkeypatch.setattr(lp, "_simplex_standard", refuse)
+
+    def test_never_calls_the_simplex(self, no_simplex):
+        problem, _ = encode_bp_lp(PHI, SignMeasurement.from_y(Y))
+        assert lp_vertex_oracle(problem).objective_value == pytest.approx(1.0, abs=1e-9)
+        unbounded = lp.LPProblem.from_rows(np.array([-1.0, 0.0]),
+                                           [(np.array([1.0, 1.0]), ">=", 0.0)],
+                                           free=np.array([True, True]))
+        assert lp_vertex_oracle(unbounded).status == lp.UNBOUNDED
+        top = lp.LPProblem.from_rows(np.array([1.0, 2.0]),
+                                     [(np.array([1.0, 1.0]), "<=", 3.0)], sense="max")
+        s = lp_vertex_oracle(top)
+        assert s.status == lp.OPTIMAL
+        np.testing.assert_array_equal(s.primal, [0.0, 3.0])
+        assert s.objective_value == 6.0
+
+    @pytest.mark.parametrize("eps, expected", [(5e-13, [0.0, 1.0]), (2e-12, [1.0, 0.0])])
+    def test_near_tie_keeps_first_candidate(self, eps, expected):
+        """Candidates run in combinations order, (x1 + x2 = 1, x1 = 0) before
+        (x1 + x2 = 1, x2 = 0); a later vertex replaces the best only when it
+        is lower by more than 1e-12, so a closer tie keeps the first."""
+        p = lp.LPProblem.from_rows(np.array([1.0 - eps, 1.0]),
+                                   [(np.array([1.0, 1.0]), ">=", 1.0)])
+        s = lp_vertex_oracle(p)
+        assert s.status == lp.OPTIMAL
+        np.testing.assert_array_equal(s.primal, expected)

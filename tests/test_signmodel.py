@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from onebitcs.certify import uniqueness_certificate
+from onebitcs.decoders import bp_output_consistent, encode_bp_lp, one_bit_bp, relaxation_gd
+from onebitcs.oracle import active_set_augmentation, l0_min
 from onebitcs.signmodel import (
     NONSTANDARD,
     STANDARD,
     SignMeasurement,
-    SignalVector,
     active_sets,
     is_consistent,
     measure,
@@ -77,11 +79,32 @@ def test_measure_consistency_round_trip():
             assert is_consistent(phi, x, meas, mode)
 
 
-def test_signal_vector_partition():
-    sv = SignalVector.from_x(np.array([0.0, 2.0, -1.0, 1e-12]))
-    assert sv.s_plus.tolist() == [1]
-    assert sv.s_minus.tolist() == [2]
-    assert sv.support.tolist() == [1, 2]
+def test_signed_support_partition():
+    sp, sm = signed_support(np.array([0.0, 2.0, -1.0, 1e-12]))
+    assert sp.tolist() == [1]
+    assert sm.tolist() == [2]
+
+
+X0 = np.array([1., 0., 0., 0.])
+_TAKES_Y = {
+    "uniqueness_certificate": lambda y: uniqueness_certificate(PHI, y, X0),
+    "encode_bp_lp": lambda y: encode_bp_lp(PHI, SignMeasurement.from_y(y)),
+    "one_bit_bp": lambda y: one_bit_bp(PHI, y),
+    "relaxation_gd": lambda y: relaxation_gd(PHI, y),
+    "l0_min": lambda y: l0_min(PHI, y),
+    "active_set_augmentation": lambda y: active_set_augmentation(PHI, y, X0),
+    "is_consistent": lambda y: is_consistent(PHI, X0, SignMeasurement.from_y(y)),
+    "bp_output_consistent": lambda y: bp_output_consistent(
+        PHI, SignMeasurement.from_y(y), one_bit_bp(PHI, Y)),
+    "minimal_scaling": lambda y: minimal_scaling(PHI, X0, SignMeasurement.from_y(y)),
+}
+
+
+@pytest.mark.parametrize("y", [np.array([1]), np.array([1, -1, 1])], ids=["short", "long"])
+@pytest.mark.parametrize("name", sorted(_TAKES_Y))
+def test_measurement_of_other_length_is_rejected(name, y):
+    with pytest.raises(ValueError, match=f"measurement has {y.size} rows, matrix has 2"):
+        _TAKES_Y[name](y)
 
 
 def test_signed_support_of_zero():
