@@ -207,7 +207,7 @@ def _sign_witness_margin(phi: np.ndarray, s_plus, s_minus, roles: _Roles,
     b[:ns] = [1.0] * len(s_plus) + [-1.0] * len(s_minus)
     b[ns:ns + no] = np.tile([1.0, -1.0], off.size)
 
-    cert = lp.max_margin_feasibility(a, rels, b, range(ns, r), cap=1.0)
+    cert = lp.max_margin_feasibility(a, rels, b, range(ns, r))
     if cert.witness is None:
         return False, None, cert.t_star
     w = np.zeros(m)
@@ -467,7 +467,7 @@ def _membership_margin(phi: np.ndarray, meas: SignMeasurement, s_plus,
     rels = (">=",) * (k + signed) + ("=",) * (m - signed) + ("<=",) * k
     b = np.zeros(m + 2 * k)
     b[k + m:] = 1.0
-    cert = lp.max_margin_feasibility(a, rels, b, range(k + signed), cap=1.0,
+    cert = lp.max_margin_feasibility(a, rels, b, range(k + signed),
                                      free=np.zeros(k, dtype=bool))
     if cert.witness is None:
         return cert

@@ -10,7 +10,6 @@ usage or input errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -27,93 +26,79 @@ from .certify import (
     witness_is_valid,
 )
 from .decoders import encode_bp_lp, one_bit_bp, relaxation_gd
-from .experiment import ExperimentConfig, run_experiment, write_csv, write_summary
+from .experiment import ExperimentConfig, run_experiment, summary_json, write_csv, write_summary
 from .linalg import TolerancePolicy
 from .repro import repro_example
-from .signmodel import SignMeasurement, sign_standard
+from .signmodel import is_consistent
 
 INFEASIBLE_NOTE = "no signal consistent with the measurement"
 
 
-def _read_matrix(path: str) -> np.ndarray:
+def _read_tokens(path: str, empty: str | None = None) -> list[str]:
+    """The whitespace-separated tokens of an input file; with `empty` set,
+    a file without tokens raises ValueError(f"{path}: {empty}")."""
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
+    if empty and not tokens:
+        raise ValueError(f"{path}: {empty}")
+    return tokens
+
+
+def _parse(path: str, tokens: list[str], convert, error: str) -> list:
+    try:
+        return [convert(t) for t in tokens]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {error}") from exc
+
+
+def _read_matrix(path: str) -> np.ndarray:
+    tokens = _read_tokens(path)
     if len(tokens) < 2:
         raise ValueError(f"{path}: matrix file needs a leading 'm n' header")
-    try:
-        m, n = int(tokens[0]), int(tokens[1])
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed matrix header") from exc
+    m, n = _parse(path, tokens[:2], int, "malformed matrix header")
     if m < 1 or n < 1:
         raise ValueError(f"{path}: matrix dimensions must be positive")
     body = tokens[2:]
     if len(body) != m * n:
         raise ValueError(
             f"{path}: expected {m * n} entries for a {m}x{n} matrix, got {len(body)}")
-    try:
-        vals = [float(t) for t in body]
-    except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric matrix entry") from exc
-    a = np.array(vals).reshape(m, n)
+    a = np.array(_parse(path, body, float, "non-numeric matrix entry")).reshape(m, n)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{path}: matrix entries must be finite")
     return a
 
 
 def _read_measurement(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    if not tokens:
-        raise ValueError(f"{path}: empty measurement file")
-    try:
-        vals = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise ValueError(f"{path}: measurement entries must be integers") from exc
+    vals = _parse(path, _read_tokens(path, "empty measurement file"), int,
+                  "measurement entries must be integers")
     if any(v not in (-1, 0, 1) for v in vals):
         raise ValueError(f"{path}: measurement entries must lie in -1, 0, 1")
     return np.array(vals, dtype=int)
 
 
 def _read_signal(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    if not tokens:
-        raise ValueError(f"{path}: empty signal file")
-    try:
-        x = np.array([float(t) for t in tokens])
-    except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric signal entry") from exc
+    x = np.array(_parse(path, _read_tokens(path, "empty signal file"), float,
+                        "non-numeric signal entry"))
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{path}: signal entries must be finite")
     return x
 
 
-def _tolerances(args: argparse.Namespace) -> TolerancePolicy:
-    return TolerancePolicy(
-        rank_tol=args.tol_rank,
-        active_tol=args.tol_active,
-        margin_tol=args.tol_margin,
-        sign_tol=args.tol_sign,
-    )
-
-
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_summary(payload, out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(summary_json(payload))
 
 
 def _vec(v) -> list | None:
     return None if v is None else [float(t) for t in np.asarray(v).ravel()]
 
 
-def _cmd_decode(args: argparse.Namespace) -> int:
-    pol = _tolerances(args)
-    phi = _read_matrix(args.matrix)
-    y = _read_measurement(args.y)
+# Every handler takes the parsed arguments, the tolerance policy and the
+# --matrix and --y inputs, read once by main (None where not given).
+
+def _cmd_decode(args: argparse.Namespace, pol, phi, y) -> int:
     if args.decoder == "bp":
         sol = one_bit_bp(phi, y, pol)
         payload = {
@@ -127,8 +112,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         if sol.status == lp.INFEASIBLE:
             payload["note"] = INFEASIBLE_NOTE
         elif sol.status == lp.OPTIMAL:
-            payload["consistent"] = bool(
-                np.array_equal(sign_standard(phi @ sol.x, pol), y))
+            payload["consistent"] = is_consistent(phi, sol.x, y, tol=pol)
     else:
         x, obj, consistent = relaxation_gd(phi, y, pol)
         payload = {
@@ -142,22 +126,21 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
-    pol = _tolerances(args)
-    phi = _read_matrix(args.matrix)
-    y = _read_measurement(args.y)
-    meas = SignMeasurement.from_y(y)
+def _cmd_certify(args: argparse.Namespace, pol, phi, y) -> int:
     if args.x:
         x = _read_signal(args.x)
         source = "supplied"
     else:
-        sol = one_bit_bp(phi, meas, pol)
+        sol = one_bit_bp(phi, y, pol)
         if sol.status != lp.OPTIMAL:
-            _emit({"status": sol.status, "note": INFEASIBLE_NOTE}, args.out)
+            payload = {"status": sol.status}
+            if sol.status == lp.INFEASIBLE:
+                payload["note"] = INFEASIBLE_NOTE
+            _emit(payload, args.out)
             return 0
         x = sol.x
         source = "decoder"
-    report = uniqueness_certificate(phi, meas, x, pol)
+    report = uniqueness_certificate(phi, y, x, pol)
     witness = None
     recheck = None
     if report.witness is not None:
@@ -188,10 +171,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
-    pol = _tolerances(args)
-    phi = _read_matrix(args.matrix)
-    y = _read_measurement(args.y)
+def _cmd_audit(args: argparse.Namespace, pol, phi, y) -> int:
     modes = [STANDARD_COND] if args.mode == "standard" else [NONSTANDARD_X, NONSTANDARD_PHIX]
     payload = {}
     for mode in modes:
@@ -204,15 +184,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    pol = _tolerances(args)
-    phi = _read_matrix(args.matrix)
-    y = _read_measurement(args.y)
-    meas = SignMeasurement.from_y(y)
-    sparsest = oracle.l0_min(phi, meas, k_max=args.k, tol=pol)
-    problem, _ = encode_bp_lp(phi, meas)
+def _cmd_oracle(args: argparse.Namespace, pol, phi, y) -> int:
+    sparsest = oracle.l0_min(phi, y, k_max=args.k, tol=pol)
+    problem, _ = encode_bp_lp(phi, y)
     vertex = oracle.lp_vertex_oracle(problem, tol=pol)
-    bp = one_bit_bp(phi, meas, pol)
+    bp = one_bit_bp(phi, y, pol)
     payload = {
         "l0_min": None if math.isinf(sparsest.value) else int(sparsest.value),
         "l0_witnesses": [
@@ -235,9 +211,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_yk(args: argparse.Namespace) -> int:
-    pol = _tolerances(args)
-    phi = _read_matrix(args.matrix)
+def _cmd_yk(args: argparse.Namespace, pol, phi, y) -> int:
     res = oracle.enumerate_Yk(phi, args.k, tol=pol,
                               samples=args.trials, seed=args.seed)
     payload = {
@@ -252,8 +226,7 @@ def _cmd_yk(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    pol = _tolerances(args)
+def _cmd_experiment(args: argparse.Namespace, pol, phi, y) -> int:
     try:
         k_list = tuple(int(t) for t in args.k.split(","))
     except ValueError as exc:
@@ -276,11 +249,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_repro(args: argparse.Namespace) -> int:
-    pol = _tolerances(args)
-    matrix = _read_matrix(args.matrix) if args.matrix else None
-    y = _read_measurement(args.y) if args.y else None
-    report = repro_example(pol, matrix=matrix, y=y)
+def _cmd_repro(args: argparse.Namespace, pol, phi, y) -> int:
+    report = repro_example(pol, matrix=phi, y=y)
     print(report.table())
     if args.out:
         payload = {
@@ -296,17 +266,6 @@ def _cmd_repro(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _add_tol_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol-rank", type=float, default=1e-9,
-                   help="pivot threshold for rank decisions")
-    p.add_argument("--tol-active", type=float, default=1e-7,
-                   help="row residual below which a constraint counts as active")
-    p.add_argument("--tol-margin", type=float, default=1e-8,
-                   help="minimum margin for strict inequalities")
-    p.add_argument("--tol-sign", type=float, default=1e-8,
-                   help="dead zone of the standard sign")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="onebitcs",
@@ -315,50 +274,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decode", help="run a decoder on a matrix/measurement pair")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--y", required=True)
+    # Parent parsers for the flags the subcommands share.
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--matrix", required=True)
+    pair.add_argument("--y", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol-rank", type=float, default=1e-9,
+                     help="pivot threshold for rank decisions")
+    tol.add_argument("--tol-active", type=float, default=1e-7,
+                     help="row residual below which a constraint counts as active")
+    tol.add_argument("--tol-margin", type=float, default=1e-8,
+                     help="minimum margin for strict inequalities")
+    tol.add_argument("--tol-sign", type=float, default=1e-8,
+                     help="dead zone of the standard sign")
+
+    p = sub.add_parser("decode", parents=[pair, out, tol],
+                       help="run a decoder on a matrix/measurement pair")
     p.add_argument("--decoder", choices=("bp", "gd"), default="bp")
-    p.add_argument("--out")
-    _add_tol_flags(p)
     p.set_defaults(func=_cmd_decode)
 
-    p = sub.add_parser("certify", help="uniqueness certificate at a signal")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--y", required=True)
+    p = sub.add_parser("certify", parents=[pair, out, tol],
+                       help="uniqueness certificate at a signal")
     p.add_argument("--x", help="signal file; defaults to the decoder output")
-    p.add_argument("--out")
-    _add_tol_flags(p)
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("audit-relaxation",
+    p = sub.add_parser("audit-relaxation", parents=[pair, out, tol],
                        help="check whether the legacy relaxation must reproduce y")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--y", required=True)
     p.add_argument("--mode", choices=("standard", "nonstandard"), default="standard")
-    p.add_argument("--out")
-    _add_tol_flags(p)
     p.set_defaults(func=_cmd_audit)
 
-    p = sub.add_parser("oracle", help="brute-force ground truth for one instance")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--y", required=True)
+    p = sub.add_parser("oracle", parents=[pair, out, tol],
+                       help="brute-force ground truth for one instance")
     p.add_argument("--k", type=int, help="cap for the sparsest-support sweep")
-    p.add_argument("--out")
-    _add_tol_flags(p)
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("yk", help="enumerate the sign images of k-sparse signals")
+    p = sub.add_parser("yk", parents=[out, tol],
+                       help="enumerate the sign images of k-sparse signals")
     p.add_argument("--matrix", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=int, default=4000,
                    help="sample count when the enumeration falls back to sampling")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    _add_tol_flags(p)
     p.set_defaults(func=_cmd_yk)
 
-    p = sub.add_parser("experiment", help="seeded recovery experiment")
+    p = sub.add_parser("experiment", parents=[tol], help="seeded recovery experiment")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", required=True, help="comma-separated sparsity list")
@@ -369,14 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decoders", default="bp", help="comma-separated subset of bp,gd")
     p.add_argument("--out", default="onebitcs-experiment",
                    help="output prefix for .csv and .json")
-    _add_tol_flags(p)
     p.set_defaults(func=_cmd_experiment)
 
-    p = sub.add_parser("repro-example", help="run the built-in counterexample audit")
+    p = sub.add_parser("repro-example", parents=[out, tol],
+                       help="run the built-in counterexample audit")
     p.add_argument("--matrix", help="override the built-in matrix")
     p.add_argument("--y", help="override the built-in measurement")
-    p.add_argument("--out")
-    _add_tol_flags(p)
     p.set_defaults(func=_cmd_repro)
 
     return parser
@@ -386,7 +345,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        pol = TolerancePolicy(
+            rank_tol=args.tol_rank,
+            active_tol=args.tol_active,
+            margin_tol=args.tol_margin,
+            sign_tol=args.tol_sign,
+        )
+        phi = _read_matrix(args.matrix) if getattr(args, "matrix", None) else None
+        y = _read_measurement(args.y) if getattr(args, "y", None) else None
+        return args.func(args, pol, phi, y)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

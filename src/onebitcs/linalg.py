@@ -37,7 +37,7 @@ class TolerancePolicy:
 DEFAULT_TOLERANCES = TolerancePolicy()
 
 
-def as_matrix(a, allow_empty: bool = True) -> np.ndarray:
+def as_matrix(a) -> np.ndarray:
     """Validate and return a 2-D float64 copy of `a`.
 
     Raises ValueError on wrong dimensionality or non-finite entries.
@@ -45,8 +45,6 @@ def as_matrix(a, allow_empty: bool = True) -> np.ndarray:
     m = np.array(a, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array, got ndim={m.ndim}")
-    if not allow_empty and (m.shape[0] == 0 or m.shape[1] == 0):
-        raise ValueError(f"matrix must be nonempty, got shape {m.shape}")
     if m.size and not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TolerancePolicy, as_matrix, as_vector
+from .linalg import as_matrix, as_vector
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -462,27 +462,24 @@ def solve(p: LPProblem) -> LPSolution:
 class MarginCertificate:
     """Result of margin maximization over a constraint system.
 
-    t_star is the best common slack of the strict rows (capped), -1.0 when
-    the relaxed system is already infeasible.  witness attains t_star.
+    t_star is the best common slack of the strict rows (at most 1), -1.0
+    when the relaxed system is already infeasible.  witness attains t_star.
     """
 
     t_star: float
     witness: np.ndarray | None
 
 
-def max_margin_feasibility(a, rels, b, strict, cap: float = 1.0,
-                           free=None) -> MarginCertificate:
+def max_margin_feasibility(a, rels, b, strict, free=None) -> MarginCertificate:
     """Maximize the common margin t of the designated strict rows.
 
     The system is a x (rels) b, one relation per row of the (r, n) array a;
     strict indexes the rows whose inequalities are meant strictly.  Each
     strict >= row becomes a_i.x >= b_i + t and each strict <= row
-    a_i.x <= b_i - t, with 0 <= t <= cap.  Variables are free unless a
+    a_i.x <= b_i - t, with 0 <= t <= 1.  Variables are free unless a
     boolean mask says otherwise.  The strict system is solvable exactly
     when t_star is positive beyond the caller's margin tolerance.
     """
-    if cap <= 0:
-        raise ValueError(f"cap must be positive, got {cap}")
     a = as_matrix(a)
     r, n = a.shape
     rels = tuple(rels)
@@ -497,7 +494,7 @@ def max_margin_feasibility(a, rels, b, strict, cap: float = 1.0,
         if rels[i] == "=":
             raise ValueError(f"row {i} is an equality and cannot be strict")
 
-    # Columns: the n variables, then t; the last row is t <= cap.
+    # Columns: the n variables, then t; the last row is t <= 1.
     ext = np.zeros((r + 1, n + 1))
     ext[:r, :n] = a
     idx = np.array(strict, dtype=int)
@@ -516,7 +513,7 @@ def max_margin_feasibility(a, rels, b, strict, cap: float = 1.0,
     c = np.zeros(n + 1)
     c[-1] = 1.0
     p = LPProblem(c=c, a=ext, rels=rels + ("<=",),
-                  b=np.append(as_vector(b, r), float(cap)), sense="max", free=fmask)
+                  b=np.append(as_vector(b, r), 1.0), sense="max", free=fmask)
     sol = solve(p)
     if sol.status == INFEASIBLE:
         return MarginCertificate(t_star=-1.0, witness=None)
@@ -528,13 +525,12 @@ def max_margin_feasibility(a, rels, b, strict, cap: float = 1.0,
     )
 
 
-def alternative_optimum(p: LPProblem, sol: LPSolution, restarts: int = 20,
-                        seed: int = 0) -> np.ndarray | None:
+def alternative_optimum(p: LPProblem, sol: LPSolution) -> np.ndarray | None:
     """Search the optimal face for a second optimum.
 
     Pins the objective to its optimal value with an equality row, then
-    minimizes seeded random linear functionals over the face.  Returns the
-    first point found at Euclidean distance > 1e-6 from sol.primal, or
+    minimizes 20 seeded random linear functionals over the face.  Returns
+    the first point found at Euclidean distance > 1e-6 from sol.primal, or
     None when every restart lands back on (numerically) the same point.
     """
     if sol.status != OPTIMAL or sol.primal is None:
@@ -543,8 +539,8 @@ def alternative_optimum(p: LPProblem, sol: LPSolution, restarts: int = 20,
     a2 = np.vstack([p.a, p.c[None, :]])
     rels2 = p.rels + ("=",)
     b2 = np.concatenate([p.b, [target]])
-    for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+    for r in range(20):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(r,)))
         g = rng.standard_normal(p.n_vars)
         q = LPProblem(c=g, a=a2, rels=rels2, b=b2, sense="min", free=p.free)
         s2 = solve(q)

@@ -237,7 +237,7 @@ def l0_min(phi, y, k_max: int | None = None,
             block = phi[np.ix_(order, cols)]
             if not block[:signed].any(axis=1).all():
                 continue
-            cert = lp.max_margin_feasibility(block, rels, b, strict, cap=1.0)
+            cert = lp.max_margin_feasibility(block, rels, b, strict)
             if cert.t_star < 0.0:
                 continue
             x = np.zeros(n)
@@ -289,7 +289,7 @@ def _support_realizable(phi, y_arr: np.ndarray, cols: np.ndarray,
     rels = ((">=",) * j_plus.size + ("<=",) * j_minus.size
             + ("=",) * j_zero.size + ("<=", ">=") * cols.size)
     b = np.concatenate([np.zeros(order.size), np.tile([1.0, -1.0], cols.size)])
-    cert = lp.max_margin_feasibility(a, rels, b, range(signed), cap=1.0)
+    cert = lp.max_margin_feasibility(a, rels, b, range(signed))
     if not signed:
         return cert.t_star >= 0.0
     return cert.t_star >= tol.margin_tol

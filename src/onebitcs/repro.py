@@ -21,20 +21,12 @@ from .certify import (
     relaxation_consistency,
     uniqueness_certificate,
 )
-from .decoders import encode_bp_lp, one_bit_bp
+from .decoders import encode_bp_lp
 from .linalg import DEFAULT_TOLERANCES, TolerancePolicy
-from .signmodel import SignMeasurement, sign_standard
+from .signmodel import SignMeasurement, is_consistent
 
 COUNTEREXAMPLE_MATRIX = ((2, -1, 0, 2), (-1, 1, 1, 0))
 COUNTEREXAMPLE_Y = (1, -1)
-
-
-def _int_sign_standard(v: int) -> int:
-    return 1 if v > 0 else (-1 if v < 0 else 0)
-
-
-def _int_sign_nonstandard(v: int) -> int:
-    return 1 if v >= 0 else -1
 
 
 @dataclass
@@ -76,123 +68,98 @@ def repro_example(tol: TolerancePolicy | None = None,
     """
     pol = tol or DEFAULT_TOLERANCES
     builtin = matrix is None and y is None
-    phi_rows = COUNTEREXAMPLE_MATRIX if matrix is None else matrix
-    y_row = COUNTEREXAMPLE_Y if y is None else y
-    phi = np.array(phi_rows, dtype=float)
-    meas = SignMeasurement.from_y(np.array(y_row, dtype=int))
+    phi = np.array(COUNTEREXAMPLE_MATRIX if matrix is None else matrix, dtype=float)
+    meas = SignMeasurement.from_y(np.array(COUNTEREXAMPLE_Y if y is None else y, dtype=int))
     checks: list[CheckResult] = []
     notes: list[str] = []
 
     if builtin:
-        phi_int = [[int(v) for v in row] for row in COUNTEREXAMPLE_MATRIX]
-        y_int = [int(v) for v in COUNTEREXAMPLE_Y]
-        m = len(phi_int)
-
-        def mat_vec(xs):
-            return [sum(phi_int[i][j] * xs[j] for j in range(len(xs))) for i in range(m)]
+        phi_int = np.array(COUNTEREXAMPLE_MATRIX)
+        y_int = np.array(COUNTEREXAMPLE_Y)
+        y_list = y_int.tolist()
 
         for alpha in (1, 2):
             xt = (alpha, alpha, 0, 0)
-            v = mat_vec(xt)
-            in_relaxation = all(y_int[i] * v[i] >= 0 for i in range(m))
-            std = [_int_sign_standard(t) for t in v]
-            nonstd = [_int_sign_nonstandard(t) for t in v]
-            ok = in_relaxation and std != y_int and nonstd != y_int
+            v = phi_int @ xt
+            std = np.sign(v).tolist()
+            nonstd = np.where(v >= 0, 1, -1).tolist()
             checks.append(CheckResult(
                 name=f"relaxation point alpha={alpha}",
-                passed=ok,
-                detail=(f"x={xt}: in sign cone, standard sign {std} != {y_int}, "
-                        f"nonstandard sign {nonstd} != {y_int}"),
+                passed=bool(np.all(y_int * v >= 0)) and std != y_list and nonstd != y_list,
+                detail=(f"x={xt}: in sign cone, standard sign {std} != {y_list}, "
+                        f"nonstandard sign {nonstd} != {y_list}"),
             ))
 
+        # A cone direction that zeroes a row measured -1 breaks the
+        # nonstandard criterion on x when d != 0, and the one on phi@x
+        # when phi@d != 0.
         d = (1, 1, 0, 0)
-        vd = mat_vec(d)
-        neg_rows = [i for i in range(m) if y_int[i] == -1]
-        violated_x = any(
-            vd[i] == 0
-            and all(y_int[r] * vd[r] >= 0 for r in range(m))
-            and any(t != 0 for t in d)
-            for i in neg_rows
-        )
-        violated_phix = any(
-            vd[i] == 0
-            and all(y_int[r] * vd[r] >= 0 for r in range(m))
-            and any(t != 0 for t in vd)
-            for i in neg_rows
-        )
+        vd = phi_int @ d
         checks.append(CheckResult(
             name="integer witness d",
-            passed=violated_x and violated_phix,
-            detail=f"d={d}: phi@d={tuple(vd)} breaks both nonstandard criteria",
+            passed=bool(np.all(y_int * vd >= 0) and np.any(vd[y_int == -1] == 0)
+                        and np.any(d) and np.any(vd)),
+            detail=f"d={d}: phi@d={tuple(vd.tolist())} breaks both nonstandard criteria",
         ))
 
         x2 = (2, 2, 0, 0)
-        v2 = mat_vec(x2)
-        norm1 = sum(abs(t) for t in v2)
+        v2 = phi_int @ x2
+        norm1 = int(np.abs(v2).sum())
         checks.append(CheckResult(
             name="relaxation normalization",
-            passed=all(y_int[i] * v2[i] >= 0 for i in range(m)) and norm1 == m,
+            passed=bool(np.all(y_int * v2 >= 0)) and norm1 == y_int.size,
             detail=f"x={x2} satisfies the cone with |phi@x|_1 = {norm1} = m",
         ))
 
-    hx, viol_x = relaxation_consistency(phi, meas, NONSTANDARD_X, pol)
-    detail_x = "no violation found"
-    if viol_x:
-        i, d_w = viol_x[0]
-        detail_x = f"row {i} admits cone direction d={np.round(d_w, 6).tolist()}"
-    checks.append(CheckResult(
-        name="audit nonstandard_x", passed=not hx, detail=detail_x))
+    for mode in (NONSTANDARD_X, NONSTANDARD_PHIX):
+        holds, violations = relaxation_consistency(phi, meas, mode, pol)
+        detail = "no violation found"
+        if violations:
+            i, d_w = violations[0]
+            detail = f"row {i} admits cone direction d={np.round(d_w, 6).tolist()}"
+        checks.append(CheckResult(name=f"audit {mode}", passed=not holds, detail=detail))
 
-    hp, viol_p = relaxation_consistency(phi, meas, NONSTANDARD_PHIX, pol)
-    detail_p = "no violation found"
-    if viol_p:
-        i, d_w = viol_p[0]
-        detail_p = f"row {i} admits cone direction d={np.round(d_w, 6).tolist()}"
-    checks.append(CheckResult(
-        name="audit nonstandard_phix", passed=not hp, detail=detail_p))
-
-    sol = one_bit_bp(phi, meas, pol)
-    bp_ok = (sol.status == lp.OPTIMAL
-             and abs(sol.objective - 1.0) <= 1e-8
-             and bool(np.array_equal(sign_standard(phi @ sol.x, pol), meas.y)))
-    if builtin:
+    # One decoder solve serves the consistency check and, on the built-in
+    # instance, the search of the optimal face for a second optimum.
+    problem, enc = encode_bp_lp(phi, meas)
+    sol = lp.solve(problem)
+    x_opt = sol.primal[enc.x_cols] if sol.status == lp.OPTIMAL else None
+    consistent = x_opt is not None and is_consistent(phi, x_opt, meas, tol=pol)
+    if not builtin:
         checks.append(CheckResult(
             name="consistent decoder",
-            passed=bp_ok,
-            detail=(f"status {sol.status}, objective "
-                    f"{sol.objective if sol.objective is not None else 'n/a'}, "
-                    "output reproduces the measurement"),
-        ))
-    else:
-        checks.append(CheckResult(
-            name="consistent decoder",
-            passed=sol.status != lp.OPTIMAL or bool(
-                np.array_equal(sign_standard(phi @ sol.x, pol), meas.y)),
+            passed=x_opt is None or consistent,
             detail=f"status {sol.status}",
         ))
+        return ReproReport(checks=checks, alternative=None, margin_notes=notes)
+
+    objective = None if x_opt is None else float(np.sum(np.abs(x_opt)))
+    checks.append(CheckResult(
+        name="consistent decoder",
+        passed=consistent and abs(objective - 1.0) <= 1e-8,
+        detail=(f"status {sol.status}, objective "
+                f"{objective if objective is not None else 'n/a'}, "
+                "output reproduces the measurement"),
+    ))
 
     alternative = None
-    if builtin and sol.status == lp.OPTIMAL:
+    if x_opt is not None:
         # The optimal face has several vertices; certify whichever one the
         # solver returns and search the face for another optimum.
-        problem, enc = encode_bp_lp(phi, meas)
-        lp_sol = lp.solve(problem)
-        x_opt = lp_sol.primal[enc.x_cols]
         cert = uniqueness_certificate(phi, meas, x_opt, pol)
-        alt_full = lp.alternative_optimum(problem, lp_sol)
-        alt_x = alt_full[enc.x_cols] if alt_full is not None else None
-        alt_ok = (not cert.unique and alt_x is not None
-                  and abs(float(np.sum(np.abs(x_opt))) - 1.0) <= 1e-7
-                  and abs(float(np.sum(np.abs(alt_x))) - 1.0) <= 1e-7
-                  and float(np.linalg.norm(alt_x - x_opt)) > 1e-6)
-        alternative = alt_x
+        alt_full = lp.alternative_optimum(problem, sol)
+        alternative = alt_full[enc.x_cols] if alt_full is not None else None
+        alt_ok = (not cert.unique and alternative is not None
+                  and abs(objective - 1.0) <= 1e-7
+                  and abs(float(np.sum(np.abs(alternative))) - 1.0) <= 1e-7
+                  and float(np.linalg.norm(alternative - x_opt)) > 1e-6)
         checks.append(CheckResult(
             name="non-uniqueness",
             passed=alt_ok,
             detail=(f"certificate at {np.round(x_opt, 6).tolist()} reports "
                     f"unique={cert.unique} (witness margin {cert.margin:.3g}); "
                     "second optimum "
-                    f"{None if alt_x is None else np.round(alt_x, 6).tolist()}"),
+                    f"{None if alternative is None else np.round(alternative, 6).tolist()}"),
         ))
         if abs(cert.margin - pol.margin_tol) <= 10 * pol.margin_tol:
             notes.append(

@@ -408,7 +408,7 @@ def _lp_only_membership_margin(phi, meas, s_plus, s_minus) -> float:
     rels = (">=",) * (k + signed) + ("=",) * (m - signed) + ("<=",) * k
     b = np.zeros(m + 2 * k)
     b[k + m:] = 1.0
-    return lp.max_margin_feasibility(a, rels, b, range(k + signed), cap=1.0,
+    return lp.max_margin_feasibility(a, rels, b, range(k + signed),
                                      free=np.zeros(k, dtype=bool)).t_star
 
 
@@ -426,7 +426,7 @@ def _lp_only_l0_min(phi, meas, k_max):
         for supp in combinations(range(n), size):
             cols = np.array(supp, dtype=int)
             cert = lp.max_margin_feasibility(phi[np.ix_(order, cols)], rels, b,
-                                             range(signed), cap=1.0)
+                                             range(signed))
             if cert.t_star < 0.0:
                 continue
             x = np.zeros(n)

@@ -6,8 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from onebitcs import lp
+from onebitcs import cli, lp, oracle
 from onebitcs.cli import main
+from onebitcs.experiment import ExperimentConfig
+from onebitcs.linalg import TolerancePolicy
 
 FLAGSHIP = "2 4\n2 -1 0 2\n-1 1 1 0\n"
 
@@ -63,6 +65,70 @@ def test_certify_reports_non_uniqueness(flagship_files, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["unique"] is False
     assert payload["witness_recheck"] is not None
+
+
+@pytest.mark.parametrize("status", [lp.STALLED, lp.INACCURATE])
+def test_certify_breakdown_claims_no_infeasibility(flagship_files, monkeypatch, capsys,
+                                                   status):
+    monkeypatch.setattr(lp, "solve", lambda problem: lp.LPSolution(status=status))
+    mat, yvec = flagship_files
+    assert main(["certify", "--matrix", mat, "--y", yvec]) == 0
+    assert json.loads(capsys.readouterr().out) == {"status": status}
+
+
+def test_certify_infeasible_note(tmp_path, capsys):
+    mat = tmp_path / "phi.txt"
+    mat.write_text("2 2\n1 0\n1 0\n")
+    yvec = tmp_path / "y.txt"
+    yvec.write_text("1 -1\n")
+    assert main(["certify", "--matrix", str(mat), "--y", str(yvec)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"status": "infeasible", "note": cli.INFEASIBLE_NOTE}
+
+
+def test_certify_honours_the_margin_flag(flagship_files, capsys):
+    mat, yvec = flagship_files
+    assert main(["certify", "--matrix", mat, "--y", yvec, "--tol-margin", "0.5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rrsp_holds"] is False
+    assert payload["notes"] == ["dual witness margin 0 below 0.5"]
+
+
+TOL_FLAGS = ["--tol-rank", "2e-9", "--tol-active", "3e-7",
+             "--tol-margin", "4e-8", "--tol-sign", "5e-8"]
+TOL_POLICY = TolerancePolicy(rank_tol=2e-9, active_tol=3e-7, margin_tol=4e-8, sign_tol=5e-8)
+
+
+@pytest.mark.parametrize("argv, owner, name", [
+    (["decode", "--matrix", "PHI", "--y", "Y"], cli, "one_bit_bp"),
+    (["certify", "--matrix", "PHI", "--y", "Y"], cli, "uniqueness_certificate"),
+    (["audit-relaxation", "--matrix", "PHI", "--y", "Y"], cli, "relaxation_consistency"),
+    (["oracle", "--matrix", "PHI", "--y", "Y"], oracle, "l0_min"),
+    (["yk", "--matrix", "PHI", "--k", "1"], oracle, "enumerate_Yk"),
+    (["experiment", "--m", "3", "--n", "4", "--k", "1", "--trials", "1",
+      "--out", "PREFIX"], cli, "run_experiment"),
+    (["repro-example", "--out", "PREFIX"], cli, "repro_example"),
+], ids=["decode", "certify", "audit-relaxation", "oracle", "yk", "experiment",
+        "repro-example"])
+def test_tolerance_flags_reach_the_library(flagship_files, tmp_path, monkeypatch,
+                                           capsys, argv, owner, name):
+    """Every --tol-* value lands in the policy the subcommand hands on."""
+    seen = []
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        for v in (*args, *kwargs.values()):
+            if isinstance(v, ExperimentConfig):
+                v = v.tolerances
+            if isinstance(v, TolerancePolicy):
+                seen.append(v)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    mat, yvec = flagship_files
+    subst = {"PHI": mat, "Y": yvec, "PREFIX": str(tmp_path / "run")}
+    assert main([subst.get(a, a) for a in argv] + TOL_FLAGS) == 0
+    assert seen and all(p == TOL_POLICY for p in seen)
 
 
 def test_certify_at_supplied_signal(flagship_files, tmp_path, capsys):
@@ -151,6 +217,29 @@ def test_repro_example_passes(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("override", [["--matrix", "EYE", "--y", "Y"], ["--y", "Y"]],
+                         ids=["matrix-and-y", "y-only"])
+def test_repro_example_override(flagship_files, tmp_path, capsys, override):
+    """A replacement instance runs the two audits and the decoder check only."""
+    eye = tmp_path / "eye.txt"
+    eye.write_text("2 2\n1 0\n0 1\n")
+    out = tmp_path / "repro.json"
+    _, yvec = flagship_files
+    subst = {"EYE": str(eye), "Y": yvec}
+    argv = ["repro-example", "--out", str(out)] + [subst.get(a, a) for a in override]
+    assert main(argv) == 0
+    names = ["audit nonstandard_x", "audit nonstandard_phix", "consistent decoder"]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["PASS"] * 3
+    assert [line.split("  ")[1].strip() for line in lines] == names
+    payload = json.loads(out.read_text())
+    assert payload["passed"] is True
+    assert payload["alternative"] is None
+    assert payload["notes"] == []
+    assert [c["name"] for c in payload["checks"]] == names
+    assert all(c["passed"] for c in payload["checks"])
 
 
 def test_missing_file_is_usage_error(capsys):

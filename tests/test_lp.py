@@ -161,13 +161,13 @@ def test_solver_agrees_with_vertex_oracle():
 class TestMarginFeasibility:
     def test_strict_interval_midpoint(self):
         cert = lp.max_margin_feasibility([[1.0], [1.0]], (">=", "<="), [0.0, 1.0],
-                                         strict=[0, 1], cap=1.0)
+                                         strict=[0, 1])
         assert cert.t_star == pytest.approx(0.5)
         np.testing.assert_allclose(cert.witness, [0.5], atol=1e-9)
 
     def test_one_sided_strictness_hits_cap(self):
         cert = lp.max_margin_feasibility([[1.0], [1.0]], (">=", "<="), [0.0, 1.0],
-                                         strict=[0], cap=1.0)
+                                         strict=[0])
         assert cert.t_star == pytest.approx(1.0)
 
     def test_strictness_clashes_with_equality(self):
@@ -175,14 +175,14 @@ class TestMarginFeasibility:
         every positive threshold, so the strict system is judged infeasible
         while the relaxed LP itself stays feasible."""
         cert = lp.max_margin_feasibility([[1.0], [1.0]], ("=", ">="), [0.0, 0.0],
-                                         strict=[1], cap=1.0)
+                                         strict=[1])
         assert cert.t_star == pytest.approx(0.0, abs=1e-12)
         assert cert.t_star < 1e-8
         np.testing.assert_allclose(cert.witness, [0.0], atol=1e-12)
 
     def test_infeasible_marker(self):
         cert = lp.max_margin_feasibility([[1.0], [1.0]], ("=", ">="), [0.0, 1.0],
-                                         strict=[1], cap=1.0)
+                                         strict=[1])
         assert cert.t_star == -1.0
         assert cert.witness is None
 
@@ -190,7 +190,7 @@ class TestMarginFeasibility:
         # eta = w on the identity: support row pinned, off-support strict
         a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         cert = lp.max_margin_feasibility(a, ("=", "<=", ">="), [1.0, 1.0, -1.0],
-                                         strict=[1, 2], cap=1.0)
+                                         strict=[1, 2])
         assert cert.t_star == pytest.approx(1.0)
 
     def test_rejects_strict_equality_rows(self):

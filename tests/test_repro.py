@@ -49,3 +49,20 @@ def test_non_uniqueness_holds_at_every_vertex(monkeypatch, vertex):
     assert float(np.sum(np.abs(report.alternative))) == pytest.approx(1.0)
     assert np.linalg.norm(report.alternative - np.array(vertex)) > 1e-6
     assert report.passed
+
+
+def test_decoder_lp_is_solved_once(monkeypatch):
+    """One decoder solve serves the consistency check and the face search."""
+    problem, _ = encode_bp_lp(PHI, MEAS)
+    solve = lp.solve
+    decoder_solves = []
+
+    def counting(p):
+        if p.a.shape == problem.a.shape and np.array_equal(p.a, problem.a) \
+                and np.array_equal(p.b, problem.b) and np.array_equal(p.c, problem.c):
+            decoder_solves.append(p)
+        return solve(p)
+
+    monkeypatch.setattr(lp, "solve", counting)
+    assert repro_example().passed
+    assert len(decoder_solves) == 1
