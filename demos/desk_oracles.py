@@ -33,9 +33,8 @@ def main():
         print(f"  pattern +{list(sp)} -{list(sm)}  witness {np.round(x, 6)}")
 
     yk = enumerate_Yk(PHI, 1)
-    print(f"\nsign images of 1-sparse signals ({len(yk.measurements)} total, "
-          f"exact={yk.exact}):")
-    for m in yk.measurements:
+    print(f"\nsign images of 1-sparse signals ({len(yk)} total):")
+    for m in yk:
         print(" ", tuple(int(v) for v in m.y))
 
     x0 = np.array([2.0, 0.0, 0.0, 0.0])

@@ -29,6 +29,7 @@ from . import lp
 from .linalg import (
     DEFAULT_TOLERANCES,
     TolerancePolicy,
+    _face_signs,
     as_matrix,
     as_vector,
     column_rank,
@@ -49,9 +50,10 @@ NECESSARY = "necessary"
 # rather than silently sample.
 WRT_Y_MAX_SIGNED_ROWS = 12
 WRT_Y_MAX_COLS = 10
-ORDER_K_MAX_COLS = 8
-ORDER_K_MAX_SPARSITY = 2
-ORDER_K_MAX_ROWS = 8
+# (max rows, max columns) of rrsp_order_k per sparsity.  Dense necessary
+# sweeps are the slowest: 8x8 at k = 2 took 2-3 s, 6x6 at k = 3 1-5.5 s and
+# 7x6 at k = 3 15-17 s (one core of a shared 2-core machine).
+ORDER_K_MAX_SHAPE = {0: (8, 8), 1: (8, 8), 2: (8, 8), 3: (6, 6)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -624,6 +626,25 @@ def rrsp_wrt_y(phi, y, k: int, variant: str,
     return False, []
 
 
+def _carrier_candidates(phi: np.ndarray, k: int
+                        ) -> dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple[int, ...]]]:
+    """Sorted nonzero measurements y that may carry each signed pattern:
+    the faces of phi_S with the k coordinate rows appended, over every
+    support S of size k <= n, each sign vector (sign(phi_S z), sign(z)) a
+    (measurement, pattern) pair for the membership LP to confirm."""
+    m, n = phi.shape
+    found: dict[tuple, set[tuple[int, ...]]] = {}
+    for supp in combinations(range(n), k):
+        cols = np.array(supp, dtype=int)
+        for face in _face_signs(np.vstack([phi[:, cols], np.eye(k)])):
+            y, z = face[:m], face[m:]
+            if y.any() and z.any():
+                pattern = (tuple(int(j) for j in cols[z > 0]),
+                           tuple(int(j) for j in cols[z < 0]))
+                found.setdefault(pattern, set()).add(tuple(int(v) for v in y))
+    return {pattern: sorted(ys) for pattern, ys in found.items()}
+
+
 def rrsp_order_k(phi, k: int, variant: str,
                  tol: TolerancePolicy | None = None
                  ) -> tuple[bool, list[RrspEvidence]]:
@@ -633,28 +654,31 @@ def rrsp_order_k(phi, k: int, variant: str,
     nonzero k-sparse-realizable measurement whose consistent signals can
     carry that pattern, the restriction-pair test must pass in the
     for-all shape.  variant "necessary": every such pattern needs at least
-    one measurement and pair with a witness.  Refuses beyond the
-    exhaustive budget (the measurement enumeration is exact for k <= 2).
+    one measurement and pair with a witness.  The measurements that can
+    carry each pattern come from one exact face walk per support of size
+    k, so no k-sparse measurement is missed; each is confirmed by the
+    membership margin LP when its pattern is reached.  Refuses shapes and
+    sparsities beyond ORDER_K_MAX_SHAPE, and k outside [0, n].
     """
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
     m, n = phi.shape
     if variant not in (SUFFICIENT, NECESSARY):
         raise ValueError(f"variant must be sufficient or necessary, got {variant!r}")
-    if n > ORDER_K_MAX_COLS or k > ORDER_K_MAX_SPARSITY or m > ORDER_K_MAX_ROWS:
+    if k < 0 or k > n:
+        raise ValueError(f"sparsity must lie in [0, {n}], got {k}")
+    rows, cols = ORDER_K_MAX_SHAPE.get(k, (0, 0))
+    if m > rows or n > cols:
         raise ValueError(
-            f"instance beyond exhaustive budget: need columns <= {ORDER_K_MAX_COLS}, "
-            f"sparsity <= {ORDER_K_MAX_SPARSITY}, rows <= {ORDER_K_MAX_ROWS}")
+            f"instance beyond exhaustive budget: sparsity {k} allows {rows} "
+            f"rows and {cols} columns, got {m}x{n}")
 
-    from .oracle import enumerate_Yk  # deferred: oracle imports this module
-
-    yk = enumerate_Yk(phi, k, tol=pol)
-    nonzero = [meas for meas in yk.measurements if not meas.is_zero()]
-
+    candidates = _carrier_candidates(phi, k)
     all_evidence: list[RrspEvidence] = []
     for sp, sm in _signed_patterns(n, k):
-        carriers = [meas for meas in nonzero
-                    if membership_P(phi, meas, sp, sm, pol)]
+        carriers = (meas for y in candidates.get((sp, sm), [])
+                    if membership_P(phi, meas := SignMeasurement.from_y(np.array(y)),
+                                    sp, sm, pol))
         if variant == SUFFICIENT:
             for meas in carriers:
                 ok, ev = _pattern_pair_check(

@@ -212,16 +212,12 @@ def _cmd_oracle(args: argparse.Namespace, pol, phi, y) -> int:
 
 
 def _cmd_yk(args: argparse.Namespace, pol, phi, y) -> int:
-    res = oracle.enumerate_Yk(phi, args.k, tol=pol,
-                              samples=args.trials, seed=args.seed)
+    res = oracle.enumerate_Yk(phi, args.k, tol=pol)
     payload = {
         "k": args.k,
-        "exact": res.exact,
-        "count": len(res.measurements),
-        "measurements": [[int(v) for v in meas.y] for meas in res.measurements],
+        "count": len(res),
+        "measurements": [[int(v) for v in meas.y] for meas in res],
     }
-    if not res.exact:
-        payload["note"] = "sampled enumeration; possibly incomplete"
     _emit(payload, args.out)
     return 0
 
@@ -314,9 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate the sign images of k-sparse signals")
     p.add_argument("--matrix", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trials", type=int, default=4000,
-                   help="sample count when the enumeration falls back to sampling")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_yk)
 
     p = sub.add_parser("experiment", parents=[tol], help="seeded recovery experiment")

@@ -1,4 +1,5 @@
-"""Dense linear-algebra kernels: numerical rank and null-space bases.
+"""Dense linear-algebra kernels: numerical rank, null-space bases and the
+faces of a central hyperplane arrangement.
 
 Everything here works on plain float64 numpy arrays and uses explicit,
 relative pivot thresholds so that rank decisions are reproducible and easy
@@ -170,3 +171,50 @@ def null_space_basis(m, tol: TolerancePolicy | None = None) -> np.ndarray:
         q[:, k] /= nrm
     return q
 
+
+# a_i z reads as zero when |a_i z| <= _FACE_ZERO |a_i| |z|.
+_FACE_ZERO = 1e-9
+
+
+def _face_signs(a: np.ndarray) -> np.ndarray:
+    """Sign vectors sign(a z), one row per face of the central arrangement
+    {z : a_i z = 0}.
+
+    The walk keeps one point per face: the origin, then for each distinct
+    hyperplane h of the current subspace the points of the walk of h (an
+    orthonormal basis by QR), each also moved by +-eps along h's unit
+    normal, eps half the step to the nearest other hyperplane.  Every face
+    lies in a hyperplane or borders one, so the walk misses none.
+    """
+    d = a.shape[1]
+    norms = np.linalg.norm(a, axis=1)
+
+    def signs(z: np.ndarray) -> np.ndarray:
+        v = z @ a.T
+        thr = _FACE_ZERO * np.linalg.norm(z, axis=1, keepdims=True) * norms
+        return np.where(v > thr, 1, np.where(v < -thr, -1, 0))
+
+    def walk(q: np.ndarray) -> np.ndarray:
+        if not q.shape[1]:
+            return np.zeros((1, d))
+        b = a @ q
+        u = b[np.linalg.norm(b, axis=1) > _FACE_ZERO * norms]
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        # A row repeats an earlier hyperplane when it is parallel to it.
+        resid = np.linalg.norm(u[:, None] - (u @ u.T)[..., None] * u[None], axis=2)
+        points = [np.zeros((1, d))]
+        for w in u[~np.tril(resid <= _FACE_ZERO, -1).any(axis=1)]:
+            normal = q @ w
+            p = walk(q @ np.linalg.qr(w[:, None], mode="complete")[0][:, 1:])
+            step = np.abs(a @ normal)
+            cross = (signs(p) != 0) & (step > _FACE_ZERO * norms)
+            ratio = np.abs(p @ a.T) / np.where(cross, step, 1.0)
+            eps = 0.5 * np.min(ratio, axis=1, where=cross, initial=2.0, keepdims=True)
+            points += [p, p + eps * normal, p - eps * normal]
+        pts = np.concatenate(points)
+        first: dict[bytes, int] = {}
+        for i, row in enumerate(signs(pts)):
+            first.setdefault(row.tobytes(), i)
+        return pts[list(first.values())]
+
+    return signs(walk(np.eye(d)))

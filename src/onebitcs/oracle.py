@@ -2,10 +2,9 @@
 
 Everything in this module trades time for certainty: vertices are
 enumerated outright, supports are swept exhaustively, and sign images are
-built from the planar geometry of two-column restrictions.  Each entry
-point refuses instances beyond its enumeration budget instead of sampling
-silently; the one sampling fallback (sign images for sparsity above two)
-flags its output as possibly incomplete.
+read off the faces of the hyperplane arrangement of each support.  Each
+entry point refuses instances beyond its enumeration budget instead of
+sampling.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from .certify import patterns_of_measurement
 from .linalg import (
     DEFAULT_TOLERANCES,
     TolerancePolicy,
+    _face_signs,
     as_matrix,
     as_vector,
     column_rank,
@@ -33,13 +33,13 @@ from .signmodel import (
     as_measurement,
     is_consistent,
     minimal_scaling,
-    sign_standard,
     signed_support,
 )
 
 VERTEX_BUDGET = 300_000
 L0_MAX_COLS = 14
 L0_MAX_SPARSITY = 3
+YK_BUDGET = 300_000
 
 
 # Sense codes of the oracle's row form: s_i (a_i x - b_i) >= 0, and
@@ -265,15 +265,6 @@ def enumerate_P(phi, y, k: int,
     return patterns_of_measurement(phi, meas, k, pol)
 
 
-@dataclass
-class YkResult:
-    """Sign images of k-sparse signals.  exact=False marks a sampled,
-    possibly incomplete enumeration."""
-
-    measurements: list[SignMeasurement]
-    exact: bool
-
-
 def _support_realizable(phi, y_arr: np.ndarray, cols: np.ndarray,
                         tol: TolerancePolicy) -> bool:
     """Margin LP: is y_arr the exact standard sign of phi restricted to
@@ -289,96 +280,38 @@ def _support_realizable(phi, y_arr: np.ndarray, cols: np.ndarray,
     rels = ((">=",) * j_plus.size + ("<=",) * j_minus.size
             + ("=",) * j_zero.size + ("<=", ">=") * cols.size)
     b = np.concatenate([np.zeros(order.size), np.tile([1.0, -1.0], cols.size)])
-    cert = lp.max_margin_feasibility(a, rels, b, range(signed))
-    if not signed:
-        return cert.t_star >= 0.0
-    return cert.t_star >= tol.margin_tol
+    return lp.max_margin_feasibility(a, rels, b, range(signed)).t_star >= tol.margin_tol
 
 
-def enumerate_Yk(phi, k: int, tol: TolerancePolicy | None = None,
-                 sampling: bool | None = None, samples: int = 4000,
-                 seed: int = 0) -> YkResult:
-    """All sign measurements producible by k-sparse signals.
+def enumerate_Yk(phi, k: int, tol: TolerancePolicy | None = None
+                 ) -> list[SignMeasurement]:
+    """All sign measurements producible by k-sparse signals, sorted.
 
-    Exact for k <= 2: single columns are scanned directly, and column
-    pairs through the angular arrangement of the induced row lines in the
-    coefficient plane (sector midpoints, the rays themselves, and the
-    origin), every candidate confirmed by a margin LP.  For k >= 3 the
-    enumeration falls back to seeded sampling and flags the result as
-    possibly incomplete.
+    Exact for every k: each support S of size k contributes the sign
+    vectors of the faces of the central arrangement of the rows of phi
+    restricted to S, and every new one is confirmed by a margin LP on S.  Refuses, before any work, instances
+    whose walk count C(n, k) m^k (the walk of one support descends
+    through at most m hyperplanes at each of k levels) exceeds YK_BUDGET.
     """
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
     m, n = phi.shape
     if k < 0 or k > n:
         raise ValueError(f"sparsity must lie in [0, {n}], got {k}")
-    if sampling is None:
-        sampling = k > 2
-    elif not sampling and k > 2:
+    count = math.comb(n, k) * m ** k
+    if count > YK_BUDGET:
         raise ValueError(
-            f"exact enumeration covers sparsity <= 2, got {k}; use sampling")
+            f"sign-image walk needs {count} hyperplane paths, beyond the budget of "
+            f"{YK_BUDGET}; instance too large for the oracle")
 
-    found: dict[tuple[int, ...], SignMeasurement] = {}
-
-    def add(y_arr: np.ndarray) -> None:
-        key = tuple(int(v) for v in y_arr)
-        if key not in found:
-            found[key] = SignMeasurement.from_y(y_arr)
-
-    add(np.zeros(m, dtype=int))
-
-    if sampling:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-        for _ in range(samples):
-            size = int(rng.integers(1, k + 1))
-            cols = np.sort(rng.choice(n, size=size, replace=False))
-            z = rng.standard_normal(size)
-            add(sign_standard(phi[:, cols] @ z, pol))
-        ordered = [found[k_] for k_ in sorted(found)]
-        return YkResult(measurements=ordered, exact=False)
-
-    if k >= 1:
-        for j in range(n):
-            cols = np.array([j], dtype=int)
-            for s in (1.0, -1.0):
-                cand = sign_standard(s * phi[:, j], pol)
-                if tuple(int(v) for v in cand) in found:
-                    continue
-                if _support_realizable(phi, cand, cols, pol):
-                    add(cand)
-    if k >= 2:
-        for pair in combinations(range(n), 2):
-            cols = np.array(pair, dtype=int)
-            normals = phi[:, cols]
-            angles: list[float] = []
-            for r in range(m):
-                a, b = normals[r]
-                if abs(a) < 1e-13 and abs(b) < 1e-13:
-                    continue
-                base = math.atan2(b, a) + math.pi / 2.0
-                for extra in (0.0, math.pi):
-                    angles.append((base + extra) % (2.0 * math.pi))
-            angles = sorted(set(round(a, 12) for a in angles))
-            test_angles: list[float] = []
-            if not angles:
-                test_angles.append(0.0)
-            else:
-                for idx, a in enumerate(angles):
-                    nxt = angles[(idx + 1) % len(angles)]
-                    if idx + 1 == len(angles):
-                        nxt += 2.0 * math.pi
-                    test_angles.append(a)
-                    test_angles.append((a + nxt) / 2.0)
-            for ang in test_angles:
-                z = np.array([math.cos(ang), math.sin(ang)])
-                cand = sign_standard(normals @ z, pol)
-                if tuple(int(v) for v in cand) in found:
-                    continue
-                if _support_realizable(phi, cand, cols, pol):
-                    add(cand)
-
-    ordered = [found[k_] for k_ in sorted(found)]
-    return YkResult(measurements=ordered, exact=True)
+    found = {(0,) * m}
+    for supp in combinations(range(n), k):
+        cols = np.array(supp, dtype=int)
+        for cand in _face_signs(phi[:, cols]):
+            key = tuple(int(v) for v in cand)
+            if key not in found and _support_realizable(phi, cand, cols, pol):
+                found.add(key)
+    return [SignMeasurement.from_y(np.array(key, dtype=int)) for key in sorted(found)]
 
 
 @dataclass

@@ -247,7 +247,7 @@ def test_criterion_6_uniform_one_sparse_recovery_on_certified_matrices():
             found += 1
 
     for phi in matrices:
-        for meas in enumerate_Yk(phi, 1).measurements:
+        for meas in enumerate_Yk(phi, 1):
             if meas.is_zero():
                 continue
             sol = one_bit_bp(phi, meas)

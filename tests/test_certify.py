@@ -13,8 +13,10 @@ from onebitcs.certify import (
     NONSTANDARD_X,
     STANDARD_COND,
     SUFFICIENT,
+    RrspEvidence,
     RrspWitness,
     _membership_margin,
+    _pattern_pair_check,
     _signed_patterns,
     assemble_H,
     membership_P,
@@ -29,7 +31,7 @@ from onebitcs.certify import (
 )
 from onebitcs.decoders import one_bit_bp
 from onebitcs.linalg import DEFAULT_TOLERANCES, TolerancePolicy, column_rank
-from onebitcs.oracle import enumerate_P, l0_min
+from onebitcs.oracle import enumerate_P, enumerate_Yk, l0_min
 from onebitcs.signmodel import (
     NONSTANDARD,
     SignMeasurement,
@@ -522,6 +524,47 @@ class TestSignRefutation:
         assert len(solves) == 2
 
 
+def _row_sparse(rng, m: int, n: int) -> np.ndarray:
+    """One entry of magnitude at least 0.3 per row, as in criterion 5."""
+    phi = np.zeros((m, n))
+    for i in range(m):
+        v = 0.0
+        while abs(v) < 0.3:
+            v = rng.normal()
+        phi[i, rng.integers(0, n)] = v
+    return phi
+
+
+def _order_k_every_measurement(phi, k: int, variant: str) -> tuple[bool, list[RrspEvidence]]:
+    """rrsp_order_k with the carriers of each pattern found by testing
+    every nonzero measurement of enumerate_Yk for membership."""
+    nonzero = [meas for meas in enumerate_Yk(phi, k) if not meas.is_zero()]
+    all_evidence: list[RrspEvidence] = []
+    for sp, sm in _signed_patterns(phi.shape[1], k):
+        carriers = [meas for meas in nonzero if membership_P(phi, meas, sp, sm)]
+        if variant == SUFFICIENT:
+            for meas in carriers:
+                ok, ev = _pattern_pair_check(
+                    phi, meas, sp, sm, DEFAULT_TOLERANCES, require_all=True,
+                    y_label=tuple(int(v) for v in meas.y))
+                all_evidence.extend(ev)
+                if not ok:
+                    return False, all_evidence
+            continue
+        for meas in carriers:
+            ok, ev = _pattern_pair_check(
+                phi, meas, sp, sm, DEFAULT_TOLERANCES, require_all=False,
+                y_label=tuple(int(v) for v in meas.y))
+            if ok:
+                all_evidence.extend(ev)
+                break
+        else:
+            return False, [RrspEvidence(
+                s_plus=sp, s_minus=sm, tpair=None, y=None, margin=-1.0, holds=False,
+                note="no measurement carries this pattern with a witness")]
+    return True, all_evidence
+
+
 class TestQuantifiedRrsp:
     def test_identity_wrt_y_sufficient_k2(self):
         ok, evidence = rrsp_wrt_y(np.eye(2), np.array([1, -1]), 2, SUFFICIENT)
@@ -559,10 +602,34 @@ class TestQuantifiedRrsp:
     def test_budget_refusals(self):
         with pytest.raises(ValueError):
             rrsp_wrt_y(np.ones((2, 11)), np.array([1, 1]), 1, SUFFICIENT)
-        with pytest.raises(ValueError):
-            rrsp_order_k(np.eye(3), 3, SUFFICIENT)
+        for shape, k in (((9, 8), 2), ((8, 9), 2), ((7, 6), 3), ((6, 7), 3), ((4, 4), 4)):
+            with pytest.raises(ValueError, match="budget"):
+                rrsp_order_k(np.ones(shape), k, SUFFICIENT)
         with pytest.raises(ValueError):
             rrsp_wrt_y(np.eye(2), np.array([1, -1]), 1, "both")
+
+    def test_order_k_rejects_sparsity_outside_range(self):
+        for k in (-1, 3):
+            with pytest.raises(ValueError, match="sparsity"):
+                rrsp_order_k(np.eye(2), k, SUFFICIENT)
+
+    @pytest.mark.parametrize("variant", [SUFFICIENT, NECESSARY])
+    def test_order_k_carriers_match_every_measurement(self, variant):
+        """The face walk's carriers give the verdict and evidence of the
+        full carrier loop at k = 1 and 2 on the seeded criterion-5 family,
+        zero columns included, and at k = 3 on eye(3), two 4x4 matrices and a
+        4x3."""
+        rng = np.random.default_rng(31415)
+        cases = [(np.eye(3), 1), (np.eye(3), 2), (np.eye(3), 3)]
+        for _ in range(4):
+            m, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            for phi in (rng.normal(size=(m, n)), _row_sparse(rng, m, n)):
+                cases += [(phi, 1), (phi, 2)]
+        cases += [(rng.normal(size=(4, 4)), 3), (_row_sparse(rng, 4, 4), 3),
+                  (_row_sparse(rng, 4, 3), 3)]
+        assert any(not phi.any(axis=0).all() for phi, _ in cases)
+        for phi, k in cases:
+            assert rrsp_order_k(phi, k, variant) == _order_k_every_measurement(phi, k, variant)
 
     def test_sufficient_implies_full_rank_supports(self):
         """Whenever the for-all variant holds, the full column submatrix

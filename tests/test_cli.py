@@ -1,5 +1,6 @@
 """Command-line behavior: file formats, JSON payloads, exit codes."""
 
+import itertools
 import json
 import warnings
 
@@ -197,8 +198,16 @@ def test_yk_enumeration(flagship_files, capsys):
     mat, _ = flagship_files
     assert main(["yk", "--matrix", mat, "--k", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["exact"] is True
     assert payload["count"] == 7
+
+
+def test_yk_enumeration_at_k3(tmp_path, capsys):
+    mat = tmp_path / "eye.txt"
+    mat.write_text("3 3\n1 0 0\n0 1 0\n0 0 1\n")
+    assert main(["yk", "--matrix", str(mat), "--k", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"k": 3, "count": 27, "measurements": [
+        list(y) for y in itertools.product((-1, 0, 1), repeat=3)]}
 
 
 def test_experiment_writes_artifacts(tmp_path, capsys):

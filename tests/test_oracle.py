@@ -125,21 +125,29 @@ class TestPatternEnumeration:
                 assert membership_P(phi, meas, sp, sm)
 
 
+def _generic_face_count(m: int, k: int) -> int:
+    """Faces of a generic central arrangement of m hyperplanes in R^k
+    (Zaslavsky): the origin plus, for each j = 1..k, the C(m, k - j) flats
+    of dimension j, each cut by the other m - k + j hyperplanes into
+    2 sum_{i<j} C(m - k + j - 1, i) regions."""
+    return 1 + sum(math.comb(m, k - j) * 2 * sum(math.comb(m - k + j - 1, i) for i in range(j))
+                   for j in range(1, k + 1))
+
+
 class TestYkEnumeration:
     def test_identity_one_sparse(self):
         res = enumerate_Yk(np.eye(2), 1)
-        got = sorted(tuple(int(v) for v in m.y) for m in res.measurements)
+        got = sorted(tuple(int(v) for v in m.y) for m in res)
         assert got == [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
-        assert res.exact
 
     def test_single_row_matrix(self):
         res = enumerate_Yk(np.array([[1., 1.]]), 1)
-        got = sorted(tuple(int(v) for v in m.y) for m in res.measurements)
+        got = sorted(tuple(int(v) for v in m.y) for m in res)
         assert got == [(-1,), (0,), (1,)]
 
     def test_flagship_contains_target_signs(self):
         res = enumerate_Yk(PHI, 1)
-        got = {tuple(int(v) for v in m.y) for m in res.measurements}
+        got = {tuple(int(v) for v in m.y) for m in res}
         assert (1, -1) in got
         assert (-1, 1) in got
         assert got == {(0, 0), (1, -1), (-1, 1), (0, 1), (0, -1), (1, 0), (-1, 0)}
@@ -150,8 +158,7 @@ class TestYkEnumeration:
         phi = rng.normal(size=(3, 4))
         for k in (1, 2):
             res = enumerate_Yk(phi, k)
-            assert res.exact
-            got = {tuple(int(v) for v in m.y) for m in res.measurements}
+            got = {tuple(int(v) for v in m.y) for m in res}
             for _ in range(10_000 // 2):
                 x = np.zeros(4)
                 support = rng.choice(4, size=k, replace=False)
@@ -159,16 +166,37 @@ class TestYkEnumeration:
                 probe = tuple(int(v) for v in sign_standard(phi @ x))
                 assert probe in got
 
-    def test_sampling_mode_for_large_k(self):
-        res = enumerate_Yk(np.eye(3), 3, samples=500, seed=1)
-        assert not res.exact
-        got = {tuple(int(v) for v in m.y) for m in res.measurements}
-        assert (0, 0, 0) in got
-        assert all(set(t) <= {-1, 0, 1} for t in got)
+    @pytest.mark.parametrize("m,k", [(5, 2), (6, 3), (7, 4)])
+    def test_square_support_gives_every_face(self, m, k):
+        """With n = k every sign vector of a generic arrangement is one
+        measurement: the face count of the rows of phi."""
+        phi = np.random.default_rng(m).normal(size=(m, k))
+        res = enumerate_Yk(phi, k)
+        assert len(res) == _generic_face_count(m, k)
+        assert len({tuple(int(v) for v in meas.y) for meas in res}) == len(res)
 
-    def test_exact_refusal_above_two(self):
-        with pytest.raises(ValueError):
-            enumerate_Yk(np.eye(3), 3, sampling=False)
+    def test_dense_k3_contains_zero_entries_and_every_sample(self):
+        rng = np.random.default_rng(20261018)
+        phi = rng.normal(size=(6, 6))
+        got = {tuple(int(v) for v in meas.y) for meas in enumerate_Yk(phi, 3)}
+        assert any(0 in y and any(y) for y in got)
+        x = np.zeros((40_000, 6))
+        supports = np.argsort(rng.random((40_000, 6)), axis=1)[:, :3]
+        np.put_along_axis(x, supports, rng.normal(size=(40_000, 3)), axis=1)
+        v = x @ phi.T
+        sampled = np.where(v > 1e-8, 1, np.where(v < -1e-8, -1, 0))
+        assert {tuple(int(t) for t in row) for row in sampled} <= got
+
+    def test_rejects_sparsity_outside_range(self):
+        for k in (-1, 4):
+            with pytest.raises(ValueError, match="sparsity"):
+                enumerate_Yk(np.eye(3), k)
+
+    def test_budget_refusal(self):
+        """The walk's size is checked before any work: 120 supports of ten
+        columns, each walking 40 rows in R^3."""
+        with pytest.raises(ValueError, match="budget"):
+            enumerate_Yk(np.ones((40, 10)), 3)
 
 
 class TestAugmentationWalk:
