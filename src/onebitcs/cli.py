@@ -27,7 +27,7 @@ from .certify import (
 )
 from .decoders import encode_bp_lp, one_bit_bp, relaxation_gd
 from .experiment import ExperimentConfig, run_experiment, summary_json, write_csv, write_summary
-from .linalg import TolerancePolicy
+from .linalg import DEFAULT_TOLERANCES, TolerancePolicy
 from .repro import repro_example
 from .signmodel import is_consistent
 
@@ -277,13 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out")
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol-rank", type=float, default=1e-9,
+    tol.add_argument("--tol-rank", type=float, default=DEFAULT_TOLERANCES.rank_tol,
                      help="pivot threshold for rank decisions")
-    tol.add_argument("--tol-active", type=float, default=1e-7,
+    tol.add_argument("--tol-active", type=float, default=DEFAULT_TOLERANCES.active_tol,
                      help="row residual below which a constraint counts as active")
-    tol.add_argument("--tol-margin", type=float, default=1e-8,
+    tol.add_argument("--tol-margin", type=float, default=DEFAULT_TOLERANCES.margin_tol,
                      help="minimum margin for strict inequalities")
-    tol.add_argument("--tol-sign", type=float, default=1e-8,
+    tol.add_argument("--tol-sign", type=float, default=DEFAULT_TOLERANCES.sign_tol,
                      help="dead zone of the standard sign")
 
     p = sub.add_parser("decode", parents=[pair, out, tol],

@@ -12,67 +12,14 @@ bundled counterexample audit demonstrates.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import lp
 from .linalg import TolerancePolicy, as_matrix
-from .signmodel import STANDARD, SignMeasurement, as_measurement, is_consistent, sign_standard
-
-
-@dataclass(frozen=True)
-class BPEncoding:
-    """Column/row layout of the decoder LP.
-
-    Variables are ordered x (free), then the bound variables t, the gap
-    variables u = t - x and v = t + x, then the slacks of the positive rows
-    (alpha) and of the negative rows (beta).  Rows are the 2n gap
-    identities followed by the positive, negative, and zero measurement
-    rows, all equalities.
-    """
-
-    n: int
-    n_plus: int
-    n_minus: int
-    n_zero: int
-
-    @property
-    def x_cols(self) -> slice:
-        return slice(0, self.n)
-
-    @property
-    def t_cols(self) -> slice:
-        return slice(self.n, 2 * self.n)
-
-    @property
-    def u_cols(self) -> slice:
-        return slice(2 * self.n, 3 * self.n)
-
-    @property
-    def v_cols(self) -> slice:
-        return slice(3 * self.n, 4 * self.n)
-
-    @property
-    def alpha_cols(self) -> slice:
-        return slice(4 * self.n, 4 * self.n + self.n_plus)
-
-    @property
-    def beta_cols(self) -> slice:
-        return slice(4 * self.n + self.n_plus, 4 * self.n + self.n_plus + self.n_minus)
-
-    @property
-    def plus_rows(self) -> slice:
-        return slice(2 * self.n, 2 * self.n + self.n_plus)
-
-    @property
-    def minus_rows(self) -> slice:
-        return slice(2 * self.n + self.n_plus, 2 * self.n + self.n_plus + self.n_minus)
-
-    @property
-    def zero_rows(self) -> slice:
-        return slice(2 * self.n + self.n_plus + self.n_minus,
-                     2 * self.n + self.n_plus + self.n_minus + self.n_zero)
+from .signmodel import STANDARD, SignMeasurement, as_measurement, is_consistent
 
 
 @dataclass
@@ -82,8 +29,11 @@ class BPSolution:
     On an optimal solve, alpha and beta hold the slacks of the positive and
     negative measurement rows (alpha[k] = (phi@x)_i - 1 for the k-th
     positive row i, beta[k] = -1 - (phi@x)_i for the k-th negative row),
-    and dual concatenates the LP multipliers in the row order of the
-    encoding.
+    and dual holds the m multipliers w of the measurement rows in
+    measurement order.  w is a non-strict dual certificate at x, within
+    the solver's tolerances: |phi'w| <= 1, phi'w = sign(x) on the support,
+    w >= 0 on j_plus, w <= 0 on j_minus and w = 0 on the inactive rows.
+    uniqueness_certificate adds the strict margin and the rank test.
     """
 
     status: str
@@ -94,9 +44,13 @@ class BPSolution:
     dual: np.ndarray | None = None
 
 
-def encode_bp_lp(phi, meas: SignMeasurement) -> tuple[lp.LPProblem, BPEncoding]:
+def encode_bp_lp(phi, meas: SignMeasurement
+                 ) -> tuple[lp.LPProblem, Callable[[np.ndarray], np.ndarray]]:
     """Build the sign-consistent l1 decoder as an explicit LP.
 
+    Returns (problem, x_of), where x_of(point) reads the signal x off any
+    point of problem (its optimum, or a second optimum from
+    lp.alternative_optimum), so callers never index the LP's columns.
     meas may be a SignMeasurement or a raw vector over {-1, 0, 1}.  Raises
     ValueError when it does not have one row per row of phi, or is
     identically zero (the decoder would just return 0 and certification
@@ -107,43 +61,30 @@ def encode_bp_lp(phi, meas: SignMeasurement) -> tuple[lp.LPProblem, BPEncoding]:
     meas = as_measurement(meas, m)
     if meas.is_zero():
         raise ValueError("decoder is undefined for the zero measurement")
-    p, q, z = meas.j_plus.size, meas.j_minus.size, meas.j_zero.size
-    enc = BPEncoding(n=n, n_plus=p, n_minus=q, n_zero=z)
-    n_cols = 4 * n + p + q
-    n_rows = 2 * n + m
+    p, q = meas.j_plus.size, meas.j_minus.size
+    # Columns: x (free), the bounds t, the gaps u = t - x and v = t + x,
+    # then the slacks alpha of the positive rows and beta of the negative
+    # rows.  Rows, all equalities: x_j + u_j - t_j = 0, -x_j + v_j - t_j = 0,
+    # then phi_i x - alpha = 1 on j_plus, phi_i x + beta = -1 on j_minus
+    # and phi_i x = 0 on j_zero.
+    a = np.zeros((2 * n + m, 4 * n + p + q))
+    j = np.arange(n)
+    a[j, j] = a[j, 2 * n + j] = a[n + j, 3 * n + j] = 1.0
+    a[j, n + j] = a[n + j, j] = a[n + j, n + j] = -1.0
+    a[2 * n:, :n] = phi[np.concatenate([meas.j_plus, meas.j_minus, meas.j_zero])]
+    b = np.zeros(2 * n + m)
+    b[2 * n:2 * n + p] = 1.0
+    b[2 * n + p:2 * n + p + q] = -1.0
+    # Slack k of the signed rows enters with the sign opposite to its rhs.
+    k = 2 * n + np.arange(p + q)
+    a[k, 2 * n + k] = -b[k]
 
-    a = np.zeros((n_rows, n_cols))
-    b = np.zeros(n_rows)
-    # x_j + u_j - t_j = 0 and -x_j + v_j - t_j = 0.
-    for j in range(n):
-        a[j, j] = 1.0
-        a[j, 2 * n + j] = 1.0
-        a[j, n + j] = -1.0
-        a[n + j, j] = -1.0
-        a[n + j, 3 * n + j] = 1.0
-        a[n + j, n + j] = -1.0
-    for k, i in enumerate(meas.j_plus):
-        r = 2 * n + k
-        a[r, :n] = phi[i]
-        a[r, 4 * n + k] = -1.0
-        b[r] = 1.0
-    for k, i in enumerate(meas.j_minus):
-        r = 2 * n + p + k
-        a[r, :n] = phi[i]
-        a[r, 4 * n + p + k] = 1.0
-        b[r] = -1.0
-    for k, i in enumerate(meas.j_zero):
-        r = 2 * n + p + q + k
-        a[r, :n] = phi[i]
-        b[r] = 0.0
-
-    c = np.zeros(n_cols)
+    c = np.zeros(4 * n + p + q)
     c[n:2 * n] = 1.0
-    free = np.zeros(n_cols, dtype=bool)
+    free = np.zeros(4 * n + p + q, dtype=bool)
     free[:n] = True
-    rels = ("=",) * n_rows
-    problem = lp.LPProblem(c=c, a=a, rels=rels, b=b, sense="min", free=free)
-    return problem, enc
+    problem = lp.LPProblem(c=c, a=a, rels=("=",) * (2 * n + m), b=b, sense="min", free=free)
+    return problem, lambda point: point[:n].copy()
 
 
 def one_bit_bp(phi, y, tol: TolerancePolicy | None = None) -> BPSolution:
@@ -152,22 +93,26 @@ def one_bit_bp(phi, y, tol: TolerancePolicy | None = None) -> BPSolution:
     y may be a SignMeasurement or a raw vector over {-1, 0, 1}.  An
     infeasible status means no signal at all is consistent with y.
     """
-    problem, enc = encode_bp_lp(phi, y)
+    phi = as_matrix(phi)
+    m, n = phi.shape
+    meas = as_measurement(y, m)
+    problem, _ = encode_bp_lp(phi, meas)
     sol = lp.solve(problem)
-    if sol.status == lp.INFEASIBLE:
-        return BPSolution(status=lp.INFEASIBLE)
     if sol.status != lp.OPTIMAL:
         return BPSolution(status=sol.status)
-    x = sol.primal[enc.x_cols].copy()
-    alpha = sol.primal[enc.alpha_cols].copy()
-    beta = sol.primal[enc.beta_cols].copy()
+    # Offsets of the layout in encode_bp_lp: the measurement rows follow
+    # the 2n gap rows in the order j_plus, j_minus, j_zero.
+    p = meas.j_plus.size
+    x = sol.primal[:n].copy()
+    dual = np.empty(m)
+    dual[np.concatenate([meas.j_plus, meas.j_minus, meas.j_zero])] = sol.dual[2 * n:]
     return BPSolution(
         status=lp.OPTIMAL,
         x=x,
-        alpha=alpha,
-        beta=beta,
+        alpha=sol.primal[4 * n:4 * n + p].copy(),
+        beta=sol.primal[4 * n + p:].copy(),
         objective=float(np.sum(np.abs(x))),
-        dual=sol.dual.copy(),
+        dual=dual,
     )
 
 
@@ -190,12 +135,12 @@ def relaxation_gd(phi, y, tol: TolerancePolicy | None = None
     """
     phi = as_matrix(phi)
     m, n = phi.shape
-    yv = as_measurement(y, m).y
-    if not np.all(np.isin(yv, (-1, 1))):
+    meas = as_measurement(y, m)
+    if not np.all(np.isin(meas.y, (-1, 1))):
         raise ValueError("relaxation needs entries in {-1, +1} only")
 
     a = np.empty((m + 1, 2 * n))
-    a[:m, :n] = yv[:, None] * phi
+    a[:m, :n] = meas.y[:, None] * phi
     a[m, :n] = a[:m, :n].sum(axis=0)
     a[:, n:] = -a[:, :n]
     b = np.zeros(m + 1)
@@ -207,8 +152,7 @@ def relaxation_gd(phi, y, tol: TolerancePolicy | None = None
     if sol.status != lp.OPTIMAL:
         raise RuntimeError(f"relaxation LP did not solve cleanly: status {sol.status}")
     x = sol.primal[:n] - sol.primal[n:]
-    consistent = bool(np.array_equal(sign_standard(phi @ x, tol), yv))
-    return x, float(np.sum(np.abs(x))), consistent
+    return x, float(np.sum(np.abs(x))), is_consistent(phi, x, meas, STANDARD, tol)
 
 
 def bp_output_consistent(phi, meas: SignMeasurement, bps: BPSolution,

@@ -10,23 +10,18 @@ byte-identical; wall time is reported separately on stderr by the CLI.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import lp
 from .certify import uniqueness_certificate
-from .decoders import one_bit_bp, relaxation_gd
-from .linalg import DEFAULT_TOLERANCES, TolerancePolicy
+from .decoders import bp_output_consistent, one_bit_bp, relaxation_gd
+from .linalg import TolerancePolicy
 from .signmodel import SignMeasurement, sign_standard, signed_support
 
 ENSEMBLES = ("gaussian", "unit_sphere_rows", "rademacher")
 DECODERS = ("bp", "gd")
-
-CSV_FIELDS = (
-    "seed", "m", "n", "k", "trial_index", "decoder", "status", "objective",
-    "consistent", "sign_recovered", "support_subset", "unique_certified",
-)
 
 
 @dataclass(frozen=True)
@@ -76,6 +71,9 @@ class TrialRecord:
     sign_recovered: bool
     support_subset: bool
     unique_certified: bool
+
+
+CSV_FIELDS = tuple(f.name for f in fields(TrialRecord))
 
 
 def trial_rng(seed: int, k: int, trial_index: int) -> np.random.Generator:
@@ -146,8 +144,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
                     status = sol.status
                     if sol.status == lp.OPTIMAL:
                         objective = float(sol.objective)
-                        consistent = bool(np.array_equal(
-                            sign_standard(phi @ sol.x, pol), y))
+                        consistent = bp_output_consistent(phi, meas, sol, pol)
                         sign_rec, supp_sub = _recovery_flags(sol.x, x_star, pol)
                         cert = uniqueness_certificate(phi, meas, sol.x, pol)
                         unique = bool(cert.unique)
@@ -195,12 +192,7 @@ def summarize(cfg: ExperimentConfig, records: list[TrialRecord]) -> dict:
             "m": cfg.m, "n": cfg.n, "k_list": list(cfg.k_list),
             "trials": cfg.trials, "ensemble": cfg.ensemble,
             "seed": cfg.seed, "decoders": list(cfg.decoders),
-            "tolerances": {
-                "rank_tol": cfg.tolerances.rank_tol,
-                "active_tol": cfg.tolerances.active_tol,
-                "margin_tol": cfg.tolerances.margin_tol,
-                "sign_tol": cfg.tolerances.sign_tol,
-            },
+            "tolerances": asdict(cfg.tolerances),
         },
         "rates": rates,
     }

@@ -123,10 +123,9 @@ class LPSolution:
     dual has one multiplier per original row (None unless optimal).  For a
     minimization, multipliers on <= rows are <= 0 and on >= rows are >= 0;
     signs flip for maximization.  ray is a recession direction in the
-    original variables certifying unboundedness.  phase1_gap is the
-    residual infeasibility measure when status is infeasible.  An optimal
-    status is returned only for a point that meets every row and sign bound
-    of the original problem within the primal tolerance (see FEAS_TOL) and
+    original variables certifying unboundedness.  An optimal status is
+    returned only for a point that meets every row and sign bound of the
+    original problem within the primal tolerance (see FEAS_TOL) and
     multipliers that pass the dual checks (sign, reduced cost, gap; see
     _verified); otherwise the status is inaccurate and neither is returned.
     """
@@ -136,7 +135,6 @@ class LPSolution:
     dual: np.ndarray | None = None
     objective_value: float | None = None
     ray: np.ndarray | None = None
-    phase1_gap: float | None = None
 
 
 @dataclass(frozen=True)
@@ -314,7 +312,7 @@ def _unit_start(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _simplex_standard(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict:
     """Two-phase simplex on min c.z, A z = b, z >= 0.
 
-    Returns a dict with status, z, y (row duals), ray, phase1_gap.
+    Returns a dict with status, z, y (row duals), ray.
 
     Phase 1 starts on the unit columns the standard form already has (see
     _unit_start): a slack, a surplus of a flipped row, or any column whose
@@ -360,7 +358,7 @@ def _simplex_standard(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict:
     scale = 1.0 + float(b.max()) if m else 1.0
     phase1_obj = -t[-1, -1]
     if phase1_obj > FEAS_TOL * scale:
-        return {"status": INFEASIBLE, "phase1_gap": float(phase1_obj)}
+        return {"status": INFEASIBLE}
 
     # Drive basic artificials out wherever the row has substance.
     for i in np.flatnonzero(basis >= n):
@@ -436,10 +434,8 @@ def solve(p: LPProblem) -> LPSolution:
     c, a, b, fmap = to_standard_form(p)
     out = _simplex_standard(c, a, b)
     status = out["status"]
-    if status == STALLED:
-        return LPSolution(status=STALLED)
-    if status == INFEASIBLE:
-        return LPSolution(status=INFEASIBLE, phase1_gap=out.get("phase1_gap"))
+    if status in (STALLED, INFEASIBLE):
+        return LPSolution(status=status)
     if status == UNBOUNDED:
         return LPSolution(
             status=UNBOUNDED,

@@ -121,9 +121,9 @@ def repro_example(tol: TolerancePolicy | None = None,
 
     # One decoder solve serves the consistency check and, on the built-in
     # instance, the search of the optimal face for a second optimum.
-    problem, enc = encode_bp_lp(phi, meas)
+    problem, x_of = encode_bp_lp(phi, meas)
     sol = lp.solve(problem)
-    x_opt = sol.primal[enc.x_cols] if sol.status == lp.OPTIMAL else None
+    x_opt = x_of(sol.primal) if sol.status == lp.OPTIMAL else None
     consistent = x_opt is not None and is_consistent(phi, x_opt, meas, tol=pol)
     if not builtin:
         checks.append(CheckResult(
@@ -148,7 +148,7 @@ def repro_example(tol: TolerancePolicy | None = None,
         # solver returns and search the face for another optimum.
         cert = uniqueness_certificate(phi, meas, x_opt, pol)
         alt_full = lp.alternative_optimum(problem, sol)
-        alternative = alt_full[enc.x_cols] if alt_full is not None else None
+        alternative = x_of(alt_full) if alt_full is not None else None
         alt_ok = (not cert.unique and alternative is not None
                   and abs(objective - 1.0) <= 1e-7
                   and abs(float(np.sum(np.abs(alternative))) - 1.0) <= 1e-7

@@ -54,7 +54,7 @@ def test_criterion_2_bp_optimum_and_non_uniqueness():
     assert sol.status == lp.OPTIMAL
     assert abs(sol.objective - 1.0) <= 1e-8
 
-    problem, enc = encode_bp_lp(FLAGSHIP, meas)
+    problem, _ = encode_bp_lp(FLAGSHIP, meas)
     oracle = lp_vertex_oracle(problem)
     assert oracle.status == lp.OPTIMAL
     assert abs(sol.objective - oracle.objective_value) <= 1e-8

@@ -28,18 +28,42 @@ def random_instance(rng, m_max=5, n_max=6):
     return phi, y
 
 
+def loop_encoding(phi, meas):
+    """Reference (c, a, b, free) of the decoder LP, filled entry by entry."""
+    m, n = phi.shape
+    p, q = meas.j_plus.size, meas.j_minus.size
+    a = np.zeros((2 * n + m, 4 * n + p + q))
+    b = np.zeros(2 * n + m)
+    for j in range(n):
+        a[j, j], a[j, n + j], a[j, 2 * n + j] = 1.0, -1.0, 1.0
+        a[n + j, j], a[n + j, n + j], a[n + j, 3 * n + j] = -1.0, -1.0, 1.0
+    for k, i in enumerate(meas.j_plus):
+        a[2 * n + k, :n], a[2 * n + k, 4 * n + k], b[2 * n + k] = phi[i], -1.0, 1.0
+    for k, i in enumerate(meas.j_minus):
+        r = 2 * n + p + k
+        a[r, :n], a[r, 4 * n + p + k], b[r] = phi[i], 1.0, -1.0
+    for k, i in enumerate(meas.j_zero):
+        a[2 * n + p + q + k, :n] = phi[i]
+    c = np.zeros(4 * n + p + q)
+    c[n:2 * n] = 1.0
+    free = np.zeros(4 * n + p + q, dtype=bool)
+    free[:n] = True
+    return c, a, b, free
+
+
 class TestEncoding:
     def test_flagship_dimensions(self):
-        problem, enc = encode_bp_lp(PHI, SignMeasurement.from_y(Y))
+        problem, _ = encode_bp_lp(PHI, SignMeasurement.from_y(Y))
         assert problem.n_vars == 18
         assert problem.n_rows == 10
         assert int(problem.free.sum()) == 4
         assert int((~problem.free).sum()) == 14
         assert all(r == "=" for r in problem.rels)
-        assert enc.n_plus == 1 and enc.n_minus == 1 and enc.n_zero == 0
+        # One row measured +1, one measured -1, the 2n gap rows at zero.
+        np.testing.assert_array_equal(np.sort(problem.b), [-1.0] + [0.0] * 8 + [1.0])
 
     def test_identity_dimensions(self):
-        problem, enc = encode_bp_lp(np.eye(2), SignMeasurement.from_y(np.array([1, -1])))
+        problem, _ = encode_bp_lp(np.eye(2), SignMeasurement.from_y(np.array([1, -1])))
         assert problem.n_vars == 10
         assert problem.n_rows == 6
         assert int(problem.free.sum()) == 2
@@ -47,6 +71,42 @@ class TestEncoding:
     def test_zero_measurement_rejected(self):
         with pytest.raises(ValueError):
             encode_bp_lp(PHI, SignMeasurement.from_y(np.array([0, 0])))
+
+    def test_array_build_equals_loop_reference(self):
+        """Zero rows, all +1 and all -1 measurements, bit for bit."""
+        rng = np.random.default_rng(11)
+        for t in range(24):
+            m, n = int(rng.integers(1, 8)), int(rng.integers(1, 9))
+            phi = rng.normal(size=(m, n))
+            y = [rng.integers(-1, 2, size=m), np.ones(m, int), -np.ones(m, int)][t % 3]
+            meas = SignMeasurement.from_y(y)
+            if meas.is_zero():
+                continue
+            problem, _ = encode_bp_lp(phi, meas)
+            for got, want in zip((problem.c, problem.a, problem.b, problem.free),
+                                 loop_encoding(phi, meas)):
+                assert got.tobytes() == want.tobytes()
+            assert problem.rels == ("=",) * problem.n_rows and problem.sense == "min"
+
+    def test_x_of_reads_the_decoder_output(self):
+        """x_of on the LP optimum is one_bit_bp's x, bit for bit."""
+        rng = np.random.default_rng(7)
+        hits = 0
+        for _ in range(25):
+            phi, y = random_instance(rng, m_max=4, n_max=5)
+            meas = SignMeasurement.from_y(y)
+            if meas.is_zero():
+                continue
+            problem, x_of = encode_bp_lp(phi, meas)
+            sol = lp.solve(problem)
+            bps = one_bit_bp(phi, meas)
+            assert sol.status == bps.status
+            if sol.status == lp.OPTIMAL:
+                hits += 1
+                x = x_of(sol.primal)
+                assert x.dtype == bps.x.dtype
+                assert x.tobytes() == bps.x.tobytes()
+        assert hits >= 15
 
 
 class TestOneBitBP:
@@ -113,6 +173,43 @@ class TestOneBitBP:
             assert base.status == permuted.status
             if base.status == lp.OPTIMAL:
                 assert base.objective == pytest.approx(permuted.objective, abs=1e-8)
+
+    def test_dual_is_a_nonstrict_certificate(self):
+        """dual has m entries: |phi'w| <= 1, phi'w = sign(x) on the support,
+        w >= 0 on j_plus, w <= 0 on j_minus and w = 0 on the inactive rows,
+        each up to 1e-9 (1 + |phi|'|w|)."""
+        from onebitcs.signmodel import active_sets, signed_support
+        rng = np.random.default_rng(1412)
+        hits = zeros = 0
+        for m, n, k in ((5, 8, 2), (10, 20, 3), (20, 40, 3), (40, 80, 5)):
+            for _ in range(3):
+                phi = rng.normal(size=(m, n))
+                supp = rng.choice(n, size=k, replace=False)
+                x = np.zeros(n)
+                x[supp] = rng.normal(size=k)
+                # Rows that vanish on the support are measured 0.
+                phi[rng.choice(m, size=m // 5, replace=False)[:, None], supp] = 0.0
+                meas = SignMeasurement.from_y(sign_standard(phi @ x))
+                sol = one_bit_bp(phi, meas)
+                if sol.status != lp.OPTIMAL:
+                    continue
+                hits += 1
+                zeros += meas.j_zero.size > 0
+                w = sol.dual
+                assert w.shape == (m,)
+                g = phi.T @ w
+                tol = 1e-9 * (1.0 + np.abs(phi).T @ np.abs(w))
+                row_tol = tol.max()
+                sp, sm = signed_support(sol.x)
+                act = active_sets(phi, sol.x, meas)
+                assert (np.abs(g) <= 1.0 + tol).all()
+                assert (np.abs(g[sp] - 1.0) <= tol[sp]).all()
+                assert (np.abs(g[sm] + 1.0) <= tol[sm]).all()
+                assert (w[meas.j_plus] >= -row_tol).all()
+                assert (w[meas.j_minus] <= row_tol).all()
+                inactive = np.concatenate([act.inactive_plus, act.inactive_minus])
+                assert (np.abs(w[inactive]) <= row_tol).all()
+        assert hits == 12 and zeros >= 10
 
     def test_active_set_nonempty_at_optimum(self):
         rng = np.random.default_rng(42)

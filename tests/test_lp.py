@@ -219,7 +219,7 @@ class TestAlternativeOptimum:
         assert lp.alternative_optimum(problem, sol) is None
 
     def test_degenerate_face_yields_second_point(self):
-        problem, enc = encode_bp_lp(PHI, SignMeasurement.from_y(Y))
+        problem, x_of = encode_bp_lp(PHI, SignMeasurement.from_y(Y))
         sol = lp.solve(problem)
         alt = lp.alternative_optimum(problem, sol)
         assert alt is not None
@@ -228,7 +228,7 @@ class TestAlternativeOptimum:
         # frozen regression values for the default seed: which vertex of the
         # face the solver returns depends on its starting basis, so the two
         # points are pinned as a set
-        found = {tuple(np.round(v[enc.x_cols], 8) + 0.0) for v in (sol.primal, alt)}
+        found = {tuple(np.round(x_of(v), 8) + 0.0) for v in (sol.primal, alt)}
         assert found == {(1.0, 0.0, 0.0, 0.0), (0.5, 0.0, -0.5, 0.0)}
 
 
