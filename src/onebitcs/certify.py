@@ -379,7 +379,8 @@ def relaxation_consistency(phi, y, mode: str,
     Returns (holds, violations); each violation is (row, d) with d a
     nondegenerate cone direction in that row's null space.  The two
     nonstandard modes require y over {-1, +1} with at least one -1; the
-    standard mode requires y != 0.
+    standard mode requires y != 0.  Raises RuntimeError when an audit LP
+    ends neither optimal nor infeasible, so that it cannot pass as holding.
     """
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
@@ -419,6 +420,8 @@ def relaxation_consistency(phi, y, mode: str,
         sol = lp.solve(lp.LPProblem(c=np.zeros(n), a=a, rels=rels, b=b, free=free))
         if sol.status == lp.OPTIMAL:
             violations.append((i, sol.primal.copy()))
+        elif sol.status != lp.INFEASIBLE:
+            raise RuntimeError(f"audit LP did not solve cleanly: status {sol.status}")
     return len(violations) == 0, violations
 
 
@@ -528,10 +531,13 @@ def patterns_of_measurement(phi, meas: SignMeasurement, k: int,
                             ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All nonempty signed supports of size at most k realized by
     consistent signals, in (size, support, signs) lexicographic order.
-    Raises ValueError when meas does not have one row per row of phi."""
+    Raises ValueError when meas does not have one row per row of phi, or
+    when k is negative (k = 0 and k > n are valid caps)."""
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
     meas = as_measurement(meas, phi.shape[0])
+    if k < 0:
+        raise ValueError(f"sparsity must be nonnegative, got {k}")
     return [(sp, sm) for sp, sm in _signed_patterns(phi.shape[1], k)
             if membership_P(phi, meas, sp, sm, pol)]
 
@@ -597,7 +603,8 @@ def rrsp_wrt_y(phi, y, k: int, variant: str,
     witness; vacuously true when no pattern qualifies.  variant
     "necessary": some realizable pattern has some full-rank pair with a
     witness.  Refuses instances beyond the exhaustive-sweep budget, and
-    raises ValueError when y does not have one row per row of phi.
+    raises ValueError when y does not have one row per row of phi or k is
+    negative.
     """
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)

@@ -11,10 +11,13 @@ row is oriented so that b_i >= 0, and a column whose only nonzero is +1
 in that row (a slack, a flipped surplus, a gap variable of the decoder)
 starts basic there.  Only rows without such a column get an artificial
 variable.  The dual of a row is read from the reduced cost of the column
-that started basic in it.  An optimal status is returned only after both
-halves of the answer have been checked in the problem's own units: the
-point against every row and sign bound, the multipliers for their signs,
-every variable's reduced cost and the duality gap.
+that started basic in it.  Every status but stalled is checked in the
+problem's own units, reading each row's relation from LPProblem.senses,
+before it is returned: optimal by the point against every row and sign
+bound and the multipliers for their signs, every variable's reduced cost
+and the duality gap; unbounded by its point and an improving ray;
+infeasible by a Farkas vector read off the phase-1 duals.  An answer
+that fails its checks is returned as inaccurate.
 
 Every pivot is one rank-1 update of the dense tableau; the pivot rules
 are pinned (see _run_phase), so the same problem always takes the same
@@ -24,7 +27,7 @@ pivots and returns the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,9 +42,9 @@ STALLED = "stalled"
 # multipliers fail a dual check.
 INACCURATE = "inaccurate"
 
-# The relations a row may carry, each with the coefficient of its slack
-# column: +1 for <=, -1 for >=.
-_SLACK_SIGN = {"<=": 1.0, "=": 0.0, ">=": -1.0}
+# The relations a row may carry, each with its sense s_i: the row reads
+# s_i (a_i.x - b_i) >= 0, or a_i.x = b_i where s_i is 0.
+_SENSES = {">=": 1.0, "=": 0.0, "<=": -1.0}
 
 # Pivot entries below this are treated as zero in ratio tests and drive-out.
 PIVOT_TOL = 1e-10
@@ -53,9 +56,26 @@ OPT_TOL = 1e-9
 FEAS_TOL = 1e-8
 
 
+def _free_mask(free, n: int, default: bool) -> np.ndarray:
+    """free as a boolean mask over n variables (all default when None); entries 0/1 only."""
+    if free is None:
+        return np.full(n, default)
+    fr = np.asarray(free)
+    if fr.shape != (n,):
+        raise ValueError(f"free mask has shape {fr.shape}, expected ({n},): "
+                         "one entry per variable")
+    if fr.dtype != bool and not ((fr == 0) | (fr == 1)).all():
+        raise ValueError(f"free mask entries must be booleans or 0/1, got {fr.tolist()}")
+    return fr.astype(bool)
+
+
 @dataclass(frozen=True, eq=False)
 class LPProblem:
-    """min/max c.x subject to rows a_i.x (<=|=|>=) b_i, x_j >= 0 or free."""
+    """min/max c.x subject to rows a_i.x (<=|=|>=) b_i, x_j >= 0 or free.
+
+    senses is derived from rels, read-only and not a constructor argument:
+    +1.0 for >=, 0.0 for = and -1.0 for <= (see _SENSES).
+    """
 
     c: np.ndarray
     a: np.ndarray
@@ -63,6 +83,7 @@ class LPProblem:
     b: np.ndarray
     sense: str = "min"
     free: np.ndarray | None = None
+    senses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         c = as_vector(self.c)
@@ -75,23 +96,20 @@ class LPProblem:
         rels = tuple(self.rels)
         if len(rels) != b.shape[0]:
             raise ValueError(f"{len(rels)} relations for {b.shape[0]} rows")
-        if not _SLACK_SIGN.keys() >= set(rels):
-            bad = next(r for r in rels if r not in _SLACK_SIGN)
-            raise ValueError(f"unknown relation {bad!r}")
+        try:
+            senses = np.array([_SENSES[r] for r in rels])
+        except KeyError as err:
+            raise ValueError(f"unknown relation {err.args[0]!r}") from None
+        senses.flags.writeable = False
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        if self.free is None:
-            fr = np.zeros(c.shape[0], dtype=bool)
-        else:
-            fr = np.array(self.free, dtype=bool)
-            if fr.shape != c.shape:
-                raise ValueError(f"free mask has shape {fr.shape}, expected {c.shape}: "
-                                 "one entry per variable")
+        fr = _free_mask(self.free, c.shape[0], False)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "rels", rels)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "free", fr)
+        object.__setattr__(self, "senses", senses)
 
     @property
     def n_vars(self) -> int:
@@ -123,11 +141,13 @@ class LPSolution:
     dual has one multiplier per original row (None unless optimal).  For a
     minimization, multipliers on <= rows are <= 0 and on >= rows are >= 0;
     signs flip for maximization.  ray is a recession direction in the
-    original variables certifying unboundedness.  An optimal status is
-    returned only for a point that meets every row and sign bound of the
-    original problem within the primal tolerance (see FEAS_TOL) and
-    multipliers that pass the dual checks (sign, reduced cost, gap; see
-    _verified); otherwise the status is inaccurate and neither is returned.
+    original variables certifying unboundedness.  optimal, unbounded and
+    infeasible are all verified in the original units: an optimal point and
+    its multipliers pass the primal and dual checks of _verified, an
+    unbounded point is feasible and its ray passes _is_ray, and an
+    infeasible answer has a Farkas vector that passes _is_farkas.  An answer
+    that fails is returned as inaccurate with no data.  stalled (the simplex
+    broke down) is not verified.
     """
 
     status: str
@@ -137,71 +157,27 @@ class LPSolution:
     ray: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class StandardFormMap:
-    """Column bookkeeping for to_standard_form.
-
-    pos[j]   standard column holding the positive part of variable j
-    neg[j]   standard column holding the negative part (-1 if j is nonneg)
-    slack[i] standard column of row i's slack/surplus (-1 for equality rows)
-    negated_objective  True when a max problem was converted to min
-    """
-
-    n_vars: int
-    n_std: int
-    pos: np.ndarray
-    neg: np.ndarray
-    slack: np.ndarray
-    negated_objective: bool
-
-    def to_original(self, z: np.ndarray) -> np.ndarray:
-        x = z[self.pos].astype(float).copy()
-        has_neg = self.neg >= 0
-        x[has_neg] -= z[self.neg[has_neg]]
-        return x
-
-
-def _slack_signs(rels: tuple[str, ...]) -> np.ndarray:
-    """Per row, +1.0 for <=, 0.0 for = and -1.0 for >=."""
-    return np.array([_SLACK_SIGN[r] for r in rels])
-
-
-def to_standard_form(p: LPProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, StandardFormMap]:
+def to_standard_form(p: LPProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rewrite as min c.z, A z = b, z >= 0.
 
-    Free variables split into positive and negative parts; each inequality
-    row gains one slack (<=) or surplus (>=) column; a max objective is
-    negated.  Column order: original variables, then the negative parts of
-    the free variables in variable order, then slack/surplus in row order.
+    The columns of z come in a fixed order: the n original variables, then
+    the negative part of each free variable in variable order, then one
+    slack (<= row) or surplus (>= row) column per inequality row in row
+    order.  So x = z[:n] less the negative parts on the free variables.  A
+    max objective is negated.
     """
-    n, r = p.n_vars, p.n_rows
-    free = np.flatnonzero(p.free)
-    signs = _slack_signs(p.rels)
-    ineq = np.flatnonzero(signs)
+    n = p.n_vars
+    free = p.free.nonzero()[0]
+    ineq = p.senses.nonzero()[0]
     n_free = free.size
-    n_std = n + n_free + ineq.size
-
-    pos = np.arange(n)
-    neg = np.full(n, -1)
-    neg[free] = n + np.arange(n_free)
-    slack = np.full(r, -1)
-    slack[ineq] = n + n_free + np.arange(ineq.size)
-
-    a = np.zeros((r, n_std))
+    a = np.zeros((p.n_rows, n + n_free + ineq.size))
     a[:, :n] = p.a
     a[:, n:n + n_free] = -p.a[:, free]
-    a[ineq, slack[ineq]] = signs[ineq]
-
-    c = np.zeros(n_std)
-    sign = -1.0 if p.sense == "max" else 1.0
-    c[:n] = sign * p.c
-    c[n:n + n_free] = -sign * p.c[free]
-
-    fmap = StandardFormMap(
-        n_vars=n, n_std=n_std, pos=pos, neg=neg, slack=slack,
-        negated_objective=(p.sense == "max"),
-    )
-    return c, a, p.b.copy(), fmap
+    a[ineq, n + n_free + np.arange(ineq.size)] = -p.senses[ineq]
+    c = np.zeros(a.shape[1])
+    c[:n] = -p.c if p.sense == "max" else p.c
+    c[n:n + n_free] = -c[free]
+    return c, a, p.b.copy()
 
 
 def _pivot(t: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -358,7 +334,11 @@ def _simplex_standard(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict:
     scale = 1.0 + float(b.max()) if m else 1.0
     phase1_obj = -t[-1, -1]
     if phase1_obj > FEAS_TOL * scale:
-        return {"status": INFEASIBLE}
+        # The phase-1 duals, read as the phase-2 duals are below with cost
+        # 1 on the artificials and 0 elsewhere, form a Farkas vector.
+        u = (first >= n) - t[-1, first]
+        np.negative(u, out=u, where=flip)
+        return {"status": INFEASIBLE, "farkas": u}
 
     # Drive basic artificials out wherever the row has substance.
     for i in np.flatnonzero(basis >= n):
@@ -377,6 +357,8 @@ def _simplex_standard(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict:
     if status == STALLED:
         return {"status": STALLED}
 
+    z = np.zeros(n + k)
+    z[basis] = np.maximum(t[:m, -1], 0.0)
     if status == UNBOUNDED:
         red = t[-1, :n]
         candidates = np.flatnonzero(red < -OPT_TOL)
@@ -389,61 +371,110 @@ def _simplex_standard(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict:
         if col is not None:
             ray[col] = 1.0
             ray[basis] = np.maximum(-t[:m, col], 0.0)
-        z = np.zeros(n + k)
-        z[basis] = np.maximum(t[:m, -1], 0.0)
         return {"status": UNBOUNDED, "z": z[:n], "ray": ray[:n]}
 
-    z = np.zeros(n + k)
-    z[basis] = np.maximum(t[:m, -1], 0.0)
     y = c_ext[first] - t[-1, first]
     np.negative(y, out=y, where=flip)
     return {"status": OPTIMAL, "z": z[:n], "y": y}
 
 
+def _feasible(p: LPProblem, x: np.ndarray) -> bool:
+    """Whether x meets p in original units: row i may miss its relation by
+    FEAS_TOL * (1 + |b_i| + |a_i|.|x|), a nonnegative variable may dip
+    below zero by FEAS_TOL."""
+    resid = p.a @ x - p.b
+    # How far each row is past its relation (<= 0 when it holds).
+    miss = np.where(p.senses, -p.senses * resid, np.abs(resid))
+    return bool(
+        (miss <= FEAS_TOL * (1.0 + np.abs(p.b) + np.abs(p.a) @ np.abs(x))).all()
+        and ((x >= -FEAS_TOL) | p.free).all())
+
+
 def _verified(p: LPProblem, x: np.ndarray, y: np.ndarray) -> bool:
     """Whether x and the multipliers y are optimal for p in original units.
 
-    Primal: row i may miss its relation by FEAS_TOL * (1 + |b_i| + |a_i|.|x|),
-    a nonnegative variable may dip below zero by FEAS_TOL.  Dual, with
-    s = 1 for min and -1 for max: s * y_i may take the wrong sign for its
-    relation (<= 0 on <= rows, >= 0 on >= rows) by OPT_TOL; the reduced
-    cost s * (c_j - a_j.y) may fall below zero, or for a free variable
-    away from zero, by OPT_TOL * (1 + |c_j| + |a_j|.|y|); and the gap
-    |b.y - c.x| may be FEAS_TOL * (1 + |b|.|y| + |c|.|x|).
+    x must be _feasible.  Dual, with s = 1 for min and -1 for max: s * y_i
+    may take the wrong sign for its relation (<= 0 on <= rows, >= 0 on >=
+    rows) by OPT_TOL; the reduced cost s * (c_j - a_j.y) may fall below
+    zero, or for a free variable away from zero, by
+    OPT_TOL * (1 + |c_j| + |a_j|.|y|); and the gap |b.y - c.x| may be
+    FEAS_TOL * (1 + |b|.|y| + |c|.|x|).
     """
-    signs = _slack_signs(p.rels)
     s = -1.0 if p.sense == "max" else 1.0
     abs_a, abs_b, abs_c = np.abs(p.a), np.abs(p.b), np.abs(p.c)
     abs_x, abs_y = np.abs(x), np.abs(y)
-    resid = p.a @ x - p.b
-    # How far each row is past its relation (<= 0 when it holds).
-    miss = np.where(signs, signs * resid, np.abs(resid))
     reduced = s * (p.c - y @ p.a)
     gap = abs(float(p.b @ y) - float(p.c @ x))
     return bool(
-        (miss <= FEAS_TOL * (1.0 + abs_b + abs_a @ abs_x)).all()
-        and ((x >= -FEAS_TOL) | p.free).all()
-        and (signs * (s * y) <= OPT_TOL).all()
+        _feasible(p, x)
+        and (p.senses * (s * y) >= -OPT_TOL).all()
         and (np.where(p.free, np.abs(reduced), -reduced)
              <= OPT_TOL * (1.0 + abs_c + abs_y @ abs_a)).all()
         and gap <= FEAS_TOL * (1.0 + float(abs_b @ abs_y) + float(abs_c @ abs_x)))
 
 
+def _original(p: LPProblem, z: np.ndarray) -> np.ndarray:
+    """The variables of p at a standard-form vector z: z[:n] less the
+    negative parts of the free variables (see to_standard_form)."""
+    n = p.n_vars
+    x = z[:n].copy()
+    x[p.free] -= z[n:n + np.count_nonzero(p.free)]
+    return x
+
+
+def _is_ray(p: LPProblem, d: np.ndarray) -> bool:
+    """Whether d is an improving recession direction of p in original units.
+
+    With tol_i = FEAS_TOL * (|a_i|.|d| + max|a_i| max|d|), a_i.d may miss
+    its relation's sign (0 on equality rows) by tol_i; d_j >= 0 on every
+    sign-constrained variable; and s * c.d < -OPT_TOL * |c|.|d| with s = 1
+    for min and -1 for max.  The max|a_i| max|d| term admits the roundoff
+    a ray picks up on rows where its other entries are exactly zero.
+    """
+    s = -1.0 if p.sense == "max" else 1.0
+    abs_a, abs_d = np.abs(p.a), np.abs(d)
+    ad = p.a @ d
+    tol = FEAS_TOL * (abs_a @ abs_d + abs_a.max(axis=1, initial=0.0) * abs_d.max(initial=0.0))
+    return bool(
+        (np.where(p.senses, -p.senses * ad, np.abs(ad)) <= tol).all()
+        and ((d >= 0.0) | p.free).all()
+        and s * float(p.c @ d) < -OPT_TOL * float(np.abs(p.c) @ abs_d))
+
+
+def _is_farkas(p: LPProblem, u: np.ndarray) -> bool:
+    """Whether the row multipliers u prove p infeasible in original units.
+
+    With tol_j = FEAS_TOL * (|u|.|a_j| + max|u| max|a_j|), u.a_j <= tol_j
+    for a sign-constrained variable and |u.a_j| <= tol_j for a free one;
+    s_i u_i >= -FEAS_TOL max|u| for each row's sense s_i; and
+    u.b > FEAS_TOL |u|.|b|.  Then no x satisfies p: u.(a x) >= u.b > 0
+    on the rows, while u.(a x) <= 0 on the variables' sign bounds.
+    """
+    abs_a, abs_u = np.abs(p.a), np.abs(u)
+    u_max = abs_u.max(initial=0.0)
+    ua = u @ p.a
+    tol = FEAS_TOL * (abs_u @ abs_a + u_max * abs_a.max(axis=0, initial=0.0))
+    return bool(
+        (np.where(p.free, np.abs(ua), ua) <= tol).all()
+        and (p.senses * u >= -FEAS_TOL * u_max).all()
+        and float(u @ p.b) > FEAS_TOL * float(abs_u @ np.abs(p.b)))
+
+
 def solve(p: LPProblem) -> LPSolution:
     """Solve an LPProblem; see LPSolution for the field conventions."""
-    c, a, b, fmap = to_standard_form(p)
-    out = _simplex_standard(c, a, b)
+    out = _simplex_standard(*to_standard_form(p))
     status = out["status"]
-    if status in (STALLED, INFEASIBLE):
-        return LPSolution(status=status)
+    if status == STALLED:
+        return LPSolution(status=STALLED)
+    if status == INFEASIBLE:
+        return LPSolution(status=INFEASIBLE if _is_farkas(p, out["farkas"]) else INACCURATE)
     if status == UNBOUNDED:
-        return LPSolution(
-            status=UNBOUNDED,
-            primal=fmap.to_original(out["z"]),
-            ray=fmap.to_original(out["ray"]),
-        )
-    x = fmap.to_original(out["z"])
-    y = -out["y"] if fmap.negated_objective else out["y"]
+        x, d = _original(p, out["z"]), _original(p, out["ray"])
+        if not (_feasible(p, x) and _is_ray(p, d)):
+            return LPSolution(status=INACCURATE)
+        return LPSolution(status=UNBOUNDED, primal=x, ray=d)
+    x = _original(p, out["z"])
+    y = -out["y"] if p.sense == "max" else out["y"]
     if not _verified(p, x, y):
         return LPSolution(status=INACCURATE)
     return LPSolution(
@@ -483,33 +514,31 @@ def max_margin_feasibility(a, rels, b, strict, free=None) -> MarginCertificate:
         raise ValueError("margin system needs at least one row")
     if len(rels) != r:
         raise ValueError(f"{len(rels)} relations for {r} rows")
-    strict = tuple(sorted(int(i) for i in strict))
-    for i in strict:
-        if i < 0 or i >= r:
-            raise ValueError(f"strict index {i} out of range")
-        if rels[i] == "=":
-            raise ValueError(f"row {i} is an equality and cannot be strict")
+    idx = np.asarray(tuple(strict))
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"strict indices must be integers, got {idx.tolist()}")
+    idx = idx.astype(int)
+    outside = idx[(idx < 0) | (idx >= r)]
+    if outside.size:
+        raise ValueError(f"strict index {outside[0]} out of range")
 
     # Columns: the n variables, then t; the last row is t <= 1.
     ext = np.zeros((r + 1, n + 1))
     ext[:r, :n] = a
-    idx = np.array(strict, dtype=int)
-    ext[idx, n] = [-1.0 if rels[i] == ">=" else 1.0 for i in strict]
     ext[r, n] = 1.0
     fmask = np.zeros(n + 1, dtype=bool)
-    if free is None:
-        fmask[:n] = True
-    else:
-        fr = np.asarray(free, dtype=bool)
-        if fr.shape != (n,):
-            raise ValueError(f"free mask has shape {fr.shape}, expected ({n},): "
-                             "one entry per variable")
-        fmask[:n] = fr
+    fmask[:n] = _free_mask(free, n, True)
 
     c = np.zeros(n + 1)
     c[-1] = 1.0
     p = LPProblem(c=c, a=ext, rels=rels + ("<=",),
                   b=np.append(as_vector(b, r), 1.0), sense="max", free=fmask)
+    eq = idx[p.senses[idx] == 0]
+    if eq.size:
+        raise ValueError(f"row {eq[0]} is an equality and cannot be strict")
+    # Each strict row gains -s_i t in p's own copy of ext: a_i.x - t >= b_i
+    # or a_i.x + t <= b_i.
+    p.a[idx, n] = -p.senses[idx]
     sol = solve(p)
     if sol.status == INFEASIBLE:
         return MarginCertificate(t_star=-1.0, witness=None)

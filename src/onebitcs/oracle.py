@@ -42,9 +42,6 @@ L0_MAX_SPARSITY = 3
 YK_BUDGET = 300_000
 
 
-# Sense codes of the oracle's row form: s_i (a_i x - b_i) >= 0, and
-# a_i x = b_i where s_i is 0.  Rows are never negated.
-_SENSE = {">=": 1, "<=": -1, "=": 0}
 # Candidate active sets solved per batch.
 _CHUNK = 1024
 
@@ -138,14 +135,14 @@ def lp_vertex_oracle(p: lp.LPProblem, budget: int = VERTEX_BUDGET,
     sign = -1.0 if p.sense == "max" else 1.0
     c_eff = sign * p.c
 
-    # Row form: equality rows, inequality rows, then x_j >= 0 for each
-    # sign-constrained variable.
-    codes = np.array([_SENSE[r] for r in p.rels], dtype=int)
-    eq = codes == 0
+    # Row form s_i (a_i x - b_i) >= 0, or a_i x = b_i where s_i is 0, with
+    # the senses of p (rows are never negated): equality rows, inequality
+    # rows, then x_j >= 0 for each sign-constrained variable.
+    eq = p.senses == 0
     bounded = ~p.free
     a = np.vstack([p.a[eq], p.a[~eq], np.eye(n)[bounded]])
     b = np.concatenate([p.b[eq], p.b[~eq], np.zeros(int(bounded.sum()))])
-    s = np.concatenate([codes[eq], codes[~eq], np.ones(int(bounded.sum()), dtype=int)])
+    s = np.concatenate([p.senses[eq], p.senses[~eq], np.ones(int(bounded.sum()))])
 
     # Lineality space: directions along which every constraint is blind;
     # pinned to zero as extra equality rows.
@@ -154,7 +151,7 @@ def lp_vertex_oracle(p: lp.LPProblem, budget: int = VERTEX_BUDGET,
         cl = c_eff @ lin
         a = np.vstack([a, lin.T])
         b = np.concatenate([b, np.zeros(lin.shape[1])])
-        s = np.concatenate([s, np.zeros(lin.shape[1], dtype=int)])
+        s = np.concatenate([s, np.zeros(lin.shape[1])])
         if float(np.max(np.abs(cl))) > 1e-9 * (1.0 + float(np.max(np.abs(c_eff), initial=0.0))):
             feas, _, _ = _vertex_sweep(a, b, s, np.zeros(n), pol, budget)
             if not feas:
@@ -175,7 +172,7 @@ def lp_vertex_oracle(p: lp.LPProblem, budget: int = VERTEX_BUDGET,
         # d_j <= 1 then d_j >= -1 for each variable.
         cone_a = np.vstack([a, np.repeat(np.eye(n), 2, axis=0)])
         cone_b = np.concatenate([np.zeros(a.shape[0]), np.tile([1.0, -1.0], n)])
-        cone_s = np.concatenate([s, np.tile([-1, 1], n)])
+        cone_s = np.concatenate([s, np.tile([-1.0, 1.0], n)])
         feas_cone, d_best, d_obj = _vertex_sweep(cone_a, cone_b, cone_s, c_eff, pol, budget)
         if feas_cone and d_obj < -1e-9 * (1.0 + float(np.max(np.abs(c_eff)))):
             return lp.LPSolution(status=lp.UNBOUNDED, primal=x_best, ray=d_best)
@@ -208,8 +205,8 @@ def l0_min(phi, y, k_max: int | None = None,
     decoding constraints restricted to that support decides feasibility;
     the first size with any hit is the answer.  A support on which some
     signed row of phi is identically zero is infeasible (that row would
-    need 0 >= 1) and is skipped without an LP.  Refuses wide instances
-    unless the sweep is capped at small sparsity.
+    need 0 >= 1) and is skipped without an LP.  Refuses a negative cap,
+    and wide instances unless the sweep is capped at small sparsity.
     """
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
@@ -219,6 +216,8 @@ def l0_min(phi, y, k_max: int | None = None,
         raise ValueError("sparsest-signal search is undefined for the zero measurement")
     if k_max is None:
         k_max = n
+    if k_max < 0:
+        raise ValueError(f"sparsity must be nonnegative, got {k_max}")
     if n > L0_MAX_COLS and k_max > L0_MAX_SPARSITY:
         raise ValueError(
             f"support sweep beyond budget: needs columns <= {L0_MAX_COLS} "
@@ -252,7 +251,8 @@ def l0_min(phi, y, k_max: int | None = None,
 def enumerate_P(phi, y, k: int,
                 tol: TolerancePolicy | None = None
                 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All signed supports of size <= k realized by consistent signals."""
+    """All signed supports of size <= k realized by consistent signals;
+    k must be nonnegative."""
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
     meas = as_measurement(y, phi.shape[0])

@@ -124,10 +124,10 @@ def test_criterion_4_certificate_versus_alternative_optimum_search():
             continue
         done += 1
         report = uniqueness_certificate(phi, meas, sol.x)
-        problem, _ = encode_bp_lp(phi, meas)
+        problem, x_of = encode_bp_lp(phi, meas)
         lp_sol = lp.solve(problem)
         alt = lp.alternative_optimum(problem, lp_sol)
-        found_second = alt is not None and np.linalg.norm(alt[:n] - sol.x) > 1e-6
+        found_second = alt is not None and np.linalg.norm(x_of(alt) - sol.x) > 1e-6
         if report.unique == (not found_second):
             agree += 1
         else:

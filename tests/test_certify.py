@@ -181,10 +181,10 @@ class TestEmpiricalUniquenessAgreement:
             if sol.status != lp.OPTIMAL or np.abs(sol.x).max() < 1e-9:
                 continue
             rep = uniqueness_certificate(phi, meas, sol.x)
-            problem, _ = encode_bp_lp(phi, meas)
+            problem, x_of = encode_bp_lp(phi, meas)
             lp_sol = lp.solve(problem)
             alt = lp.alternative_optimum(problem, lp_sol)
-            found = alt is not None and np.linalg.norm(alt[:n] - sol.x) > 1e-6
+            found = alt is not None and np.linalg.norm(x_of(alt) - sol.x) > 1e-6
             if rep.unique == (not found):
                 agree += 1
             else:
@@ -272,6 +272,14 @@ class TestRelaxationAudit:
             expected = [int(i) for i in audited if _sweep_finds_direction(phi, meas, i, mode)]
             assert [i for i, _ in violations] == expected
             assert holds == (not expected)
+
+    @pytest.mark.parametrize("status", [lp.STALLED, lp.INACCURATE])
+    def test_broken_audit_lp_raises(self, monkeypatch, status):
+        """Only optimal counted as a violation, so a broken audit LP once
+        read as holding."""
+        monkeypatch.setattr(lp, "solve", lambda p: lp.LPSolution(status=status))
+        with pytest.raises(RuntimeError, match=f"audit LP did not solve cleanly: status {status}"):
+            relaxation_consistency(np.eye(2), np.array([1, -1]), STANDARD_COND)
 
     def test_rank_deficient_x_mode_uses_null_direction(self):
         rng = np.random.default_rng(3)
@@ -607,6 +615,26 @@ class TestQuantifiedRrsp:
                 rrsp_order_k(np.ones(shape), k, SUFFICIENT)
         with pytest.raises(ValueError):
             rrsp_wrt_y(np.eye(2), np.array([1, -1]), 1, "both")
+
+    def test_negative_sparsity_is_rejected(self):
+        """k = -1 once gave vacuous answers: (True, []), [] and inf."""
+        phi, y = np.eye(2), np.array([1, -1])
+        with pytest.raises(ValueError, match="sparsity must"):
+            rrsp_wrt_y(phi, y, -1, SUFFICIENT)
+        with pytest.raises(ValueError, match="sparsity must"):
+            patterns_of_measurement(phi, SignMeasurement.from_y(y), -1)
+        with pytest.raises(ValueError, match="sparsity must"):
+            enumerate_P(phi, y, -1)
+        with pytest.raises(ValueError, match="sparsity must"):
+            l0_min(phi, y, k_max=-3)
+
+    def test_zero_and_oversized_sparsity_stay_valid(self):
+        phi, y = np.eye(2), np.array([1, -1])
+        assert rrsp_wrt_y(phi, y, 0, SUFFICIENT) == (True, [])
+        assert patterns_of_measurement(phi, SignMeasurement.from_y(y), 0) == []
+        assert enumerate_P(phi, y, 3) == [((0,), (1,))]
+        assert l0_min(phi, y, k_max=0).value == math.inf
+        assert l0_min(phi, y, k_max=5).value == 2.0
 
     def test_order_k_rejects_sparsity_outside_range(self):
         for k in (-1, 3):

@@ -80,33 +80,83 @@ def test_unknown_relation_named_in_row_order():
         lp.LPProblem(c=np.ones(1), a=np.ones((3, 1)), rels=("<=", "<", "=>"), b=np.ones(3))
 
 
+class TestSenses:
+    def test_senses_follow_rels(self):
+        p = lp.LPProblem(c=np.ones(1), a=np.ones((4, 1)), rels=(">=", "=", "<=", ">="),
+                         b=np.ones(4))
+        assert p.senses.tolist() == [1.0, 0.0, -1.0, 1.0]
+        assert not p.senses.flags.writeable
+        assert lp.LPProblem(c=np.ones(1), a=np.zeros((0, 1)), rels=(), b=[]).senses.shape == (0,)
+
+    def test_senses_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError, match="senses"):
+            lp.LPProblem(c=np.ones(1), a=np.ones((1, 1)), rels=("=",), b=np.ones(1),
+                         senses=np.zeros(1))
+
+
+class TestFreeMask:
+    @pytest.mark.parametrize("mask", [[2], [0.5], [-1]])
+    def test_problem_rejects_non_boolean_mask(self, mask):
+        with pytest.raises(ValueError, match="booleans or 0/1"):
+            lp.LPProblem(c=np.ones(1), a=np.ones((1, 1)), rels=(">=",), b=np.ones(1),
+                         free=mask)
+
+    @pytest.mark.parametrize("mask", [[2], [0.5]])
+    def test_margin_rejects_non_boolean_mask(self, mask):
+        with pytest.raises(ValueError, match="booleans or 0/1"):
+            lp.max_margin_feasibility([[1.0]], ("<=",), [0.0], strict=[0], free=mask)
+
+    @pytest.mark.parametrize("mask", [[1], [True], np.array([1.0])])
+    def test_one_and_true_mean_free(self, mask):
+        p = lp.LPProblem(c=np.ones(1), a=np.ones((1, 1)), rels=(">=",), b=np.ones(1),
+                         free=mask)
+        assert p.free.tolist() == [True]
+
+
 class TestStandardForm:
     def test_free_variable_split_example(self):
         p = lp.LPProblem.from_rows(np.array([1.0]), [(np.array([1.0]), ">=", 1.0)],
                                    free=np.array([True]))
-        c, a, b, fmap = lp.to_standard_form(p)
+        c, a, b = lp.to_standard_form(p)
         np.testing.assert_array_equal(c, [1.0, -1.0, 0.0])
         np.testing.assert_array_equal(a, [[1.0, -1.0, -1.0]])
         np.testing.assert_array_equal(b, [1.0])
 
     def test_bp_encoding_column_count(self):
         problem, _ = encode_bp_lp(PHI, SignMeasurement.from_y(Y))
-        c, a, b, fmap = lp.to_standard_form(problem)
+        c, a, b = lp.to_standard_form(problem)
         assert a.shape == (10, 22)
 
     def test_round_trip_recovers_original_variables(self):
+        """The documented column layout: the original variables, the
+        negative parts of the free ones in variable order, then one slack or
+        surplus per inequality row in row order; x = z[:n] less the
+        negative parts."""
         rng = np.random.default_rng(42)
+        checked = 0
         for _ in range(60):
             p = random_problem(rng)
             s = lp.solve(p)
             if s.status != lp.OPTIMAL:
                 continue
-            c, a, b, fmap = lp.to_standard_form(p)
-            z = np.zeros(len(c))
-            z[fmap.pos] = np.maximum(s.primal, 0.0)
-            for j in np.flatnonzero(p.free):
-                z[fmap.neg[j]] = max(-s.primal[j], 0.0)
-            np.testing.assert_allclose(fmap.to_original(z), s.primal, atol=1e-12)
+            checked += 1
+            c, a, b = lp.to_standard_form(p)
+            x, n = s.primal, p.n_vars
+            free = np.flatnonzero(p.free)
+            ineq = np.flatnonzero(np.array(p.rels) != "=")
+            sense = np.where(np.array(p.rels)[ineq] == ">=", 1.0, -1.0)
+            z = np.concatenate([np.where(p.free, np.maximum(x, 0.0), x),
+                                np.maximum(-x[free], 0.0),
+                                sense * (p.a[ineq] @ x - p.b[ineq])])
+            assert z.shape == c.shape
+            back = z[:n].copy()
+            back[free] -= z[n:n + free.size]
+            np.testing.assert_allclose(back, x, atol=1e-12)
+            np.testing.assert_allclose(a @ z, b, atol=1e-9)
+            assert (z >= -1e-9).all()
+            sign = -1.0 if p.sense == "max" else 1.0
+            assert c @ z == pytest.approx(sign * s.objective_value, abs=1e-9)
+        assert checked >= 10
 
 
 class TestDualCertificates:
@@ -196,6 +246,17 @@ class TestMarginFeasibility:
     def test_rejects_strict_equality_rows(self):
         with pytest.raises(ValueError):
             lp.max_margin_feasibility([[1.0]], ("=",), [0.0], strict=[0])
+
+    @pytest.mark.parametrize("strict", [[0.7], [1.0], ["0"], [0, 0.5]])
+    def test_rejects_non_integer_strict_indices(self, strict):
+        """0.7 was once read as row 0."""
+        with pytest.raises(ValueError, match="strict indices must be integers"):
+            lp.max_margin_feasibility([[1.0], [1.0]], (">=", "<="), [0.0, 1.0], strict=strict)
+
+    def test_numpy_integer_strict_indices(self):
+        cert = lp.max_margin_feasibility([[1.0], [1.0]], (">=", "<="), [0.0, 1.0],
+                                         strict=np.array([0, 1]))
+        assert cert.t_star == pytest.approx(0.5)
 
     def test_nonnegative_mask(self):
         """With x >= 0 declared, x <= -t cannot hold for any t >= 0 beyond 0."""
@@ -296,7 +357,7 @@ def _assert_dual_certificate(p, s):
         elif rel == ">=":
             assert sgn >= -1e-9
     # some rows take their dual from a unit column, not an artificial
-    c, a, b, _ = lp.to_standard_form(p)
+    c, a, b = lp.to_standard_form(p)
     assert (lp._unit_start(a, b)[1] >= 0).any()
 
 
@@ -333,9 +394,9 @@ class TestDualsOfLibraryLps:
 
 class TestPrimalVerification:
     @staticmethod
-    def scaled_instance(i):
+    def scaled_instance(i, entropy=804):
         """Index i of a 20x40 Gaussian family with a 3-sparse signal."""
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=804, spawn_key=(2, i)))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=(2, i)))
         phi = rng.standard_normal((20, 40))
         x = np.zeros(40)
         x[rng.choice(40, size=3, replace=False)] = rng.standard_normal(3)
@@ -358,6 +419,23 @@ class TestPrimalVerification:
             assert sol.status == lp.INACCURATE
             assert sol.primal is None and sol.dual is None
         assert one_bit_bp(1e-6 * phi, y).status == sol.status
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_no_unbounded_status_for_a_false_ray(self, i):
+        """At phi * 1e-6 the decoder LP, which minimizes a nonnegative
+        objective, once read unbounded along rays with c.d = +1.2e6 and +7.4."""
+        phi, y = self.scaled_instance(i, entropy=20261018)
+        assert one_bit_bp(1e-6 * phi, y).status == lp.INACCURATE
+
+    @pytest.mark.parametrize("entropy, i", [(802, 1), (804, 4)])
+    def test_unverified_witness_lp_raises(self, entropy, i):
+        """At phi * 1e-6 roundoff ends phase 1 of the witness LP wrongly:
+        seed 804 once read infeasible, so not unique with margin -1."""
+        phi, y = self.scaled_instance(i, entropy)
+        sol = one_bit_bp(1e-6 * phi, y)
+        assert sol.status == lp.OPTIMAL
+        with pytest.raises(RuntimeError, match="margin LP did not solve cleanly"):
+            uniqueness_certificate(1e-6 * phi, y, sol.x)
 
     def test_unverified_simplex_point_is_inaccurate(self, monkeypatch):
         p = lp.LPProblem(c=np.array([1.0]), a=np.array([[1.0]]), rels=(">=",),
@@ -391,6 +469,84 @@ class TestDualVerification:
         monkeypatch.setattr(lp, "_simplex_standard", lambda *args: {
             "status": lp.OPTIMAL, "z": np.array(z), "y": np.array(y)})
         assert lp.solve(p).status == lp.INACCURATE
+
+
+class TestUnboundedVerification:
+    # Each case pairs a problem with a simplex answer that fails exactly one
+    # check of unbounded: (c, a, rels, b, sense, z and ray in standard columns).
+    RAY_FAILURES = {
+        # a.d = 1 breaks the <= row
+        "row": ([-1.0], [[1.0]], ("<=",), [1.0], "min", [0.0, 1.0], [1.0, 0.0]),
+        # a.d = 1 breaks the equality row
+        "equality_row": ([-1.0], [[1.0]], ("=",), [0.0], "min", [0.0], [1.0]),
+        # d = -1 leaves x >= 0
+        "sign_bound": ([1.0], [[0.0]], (">=",), [-1.0], "min", [0.0, 1.0], [-1.0, 0.0]),
+        # c.d = +1 does not descend
+        "cost": ([1.0], [[1.0]], (">=",), [0.0], "min", [0.0, 0.0], [1.0, 1.0]),
+        # c.d = -1 does not ascend
+        "cost_of_max": ([-1.0], [[1.0]], (">=",), [0.0], "max", [0.0, 0.0], [1.0, 1.0]),
+        # the ray is fine, but x = 0 misses x >= 1
+        "point": ([-1.0], [[1.0]], (">=",), [1.0], "min", [0.0, 0.0], [1.0, 1.0]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RAY_FAILURES))
+    def test_unverified_ray_is_inaccurate(self, monkeypatch, case):
+        c, a, rels, b, sense, z, ray = self.RAY_FAILURES[case]
+        p = lp.LPProblem(c=np.array(c), a=np.array(a), rels=rels, b=np.array(b), sense=sense)
+        monkeypatch.setattr(lp, "_simplex_standard", lambda *args: {
+            "status": lp.UNBOUNDED, "z": np.array(z), "ray": np.array(ray)})
+        assert lp.solve(p).status == lp.INACCURATE
+
+    def test_verified_ray_is_returned(self, monkeypatch):
+        p = lp.LPProblem(c=np.array([-1.0]), a=np.array([[1.0]]), rels=(">=",),
+                         b=np.array([1.0]))
+        monkeypatch.setattr(lp, "_simplex_standard", lambda *args: {
+            "status": lp.UNBOUNDED, "z": np.array([2.0, 1.0]), "ray": np.array([1.0, 1.0])})
+        s = lp.solve(p)
+        assert s.status == lp.UNBOUNDED
+        assert s.primal.tolist() == [2.0] and s.ray.tolist() == [1.0]
+
+
+class TestInfeasibleVerification:
+    # Each case pairs a feasible problem with a vector u, claimed as its
+    # Farkas vector, that fails exactly one check: (c, a, rels, b, free, u).
+    FARKAS_FAILURES = {
+        # u.a = 1 > 0 on x >= 0
+        "column": ([0.0], [[1.0]], (">=",), [1.0], None, [1.0]),
+        # u.a = -1 != 0 on a free x
+        "free_column": ([0.0], [[1.0]], ("<=",), [-1.0], [True], [-1.0]),
+        # u = 1 on a <= row needs u <= 0
+        "row_sign": ([0.0], [[-1.0]], ("<=",), [1.0], None, [1.0]),
+        # u.b = 0 proves nothing
+        "rhs": ([0.0], [[1.0]], ("=",), [0.0], None, [-1.0]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FARKAS_FAILURES))
+    def test_unverified_farkas_vector_is_inaccurate(self, monkeypatch, case):
+        c, a, rels, b, free, u = self.FARKAS_FAILURES[case]
+        p = lp.LPProblem(c=np.array(c), a=np.array(a), rels=rels, b=np.array(b), free=free)
+        monkeypatch.setattr(lp, "_simplex_standard", lambda *args: {
+            "status": lp.INFEASIBLE, "farkas": np.array(u)})
+        assert lp.solve(p).status == lp.INACCURATE
+
+    def test_verified_farkas_vector_is_accepted(self, monkeypatch):
+        p = lp.LPProblem(c=np.array([0.0]), a=np.array([[1.0]]), rels=("<=",),
+                         b=np.array([-1.0]))
+        monkeypatch.setattr(lp, "_simplex_standard", lambda *args: {
+            "status": lp.INFEASIBLE, "farkas": np.array([-1.0])})
+        assert lp.solve(p).status == lp.INFEASIBLE
+
+    def test_simplex_reads_farkas_vector_off_phase_one(self):
+        """x = 0 and -x <= -1 over a free x: both rows need an artificial,
+        and the second is flipped.  The phase-1 duals, negated back on the
+        flipped row, prove infeasibility in the problem's own units."""
+        p = lp.LPProblem(c=np.zeros(1), a=np.array([[1.0], [-1.0]]), rels=("=", "<="),
+                         b=np.array([0.0, -1.0]), free=[True])
+        out = lp._simplex_standard(*lp.to_standard_form(p))
+        assert out["status"] == lp.INFEASIBLE
+        u = out["farkas"]
+        assert u @ p.b > 0 and u @ p.a[:, 0] == 0.0 and u[1] <= 0.0
+        assert lp.solve(p).status == lp.INFEASIBLE
 
 
 class TestPivotRules:
