@@ -97,13 +97,6 @@ class TPair:
 
 
 @dataclass
-class RrspCheck:
-    holds: bool
-    margin: float
-    witness: RrspWitness | None
-
-
-@dataclass
 class CertReport:
     """Uniqueness certificate at a specific feasible signal.
 
@@ -127,7 +120,10 @@ class CertReport:
 
 @dataclass(frozen=True)
 class RrspEvidence:
-    """One certifying or falsifying tuple from a quantified sweep."""
+    """One tested restriction pair of a quantified sweep, or (tpair None,
+    margin -1) a failure no single pair stands for.  y is the carrier in
+    rrsp_order_k, None in rrsp_wrt_y; which entries each sweep returns is
+    stated in its docstring."""
 
     s_plus: tuple[int, ...]
     s_minus: tuple[int, ...]
@@ -252,59 +248,6 @@ def witness_is_valid(phi, witness: RrspWitness, s_plus, s_minus, pos_rows,
         and np.all(np.abs(w[zero]) <= pol.sign_tol))
 
 
-def _at_point(phi: np.ndarray, meas: SignMeasurement, x,
-              pol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray, ActiveSets, _Roles]:
-    """Signed support, active sets and witness row roles at a feasible x.
-
-    The point's own restriction pair pins the inactive signed rows: t1 is
-    the inactive rows of j_plus, t2 the inactive rows of j_minus.
-    """
-    x = as_vector(x, phi.shape[1])
-    sp, sm = signed_support(x, pol)
-    acts = active_sets(phi, x, meas, pol)
-    return sp, sm, acts, _row_roles(meas, acts.inactive_plus, acts.inactive_minus)
-
-
-def _cert_matrix(phi: np.ndarray, roles: _Roles, sp, sm) -> CertMatrix:
-    row_labels = tuple(
-        [("plus_active", int(i)) for i in roles.pos]
-        + [("minus_active", int(i)) for i in roles.neg]
-        + [("zero", int(i)) for i in roles.free]
-    )
-    col_labels = tuple(
-        [("plus", int(j)) for j in sp] + [("minus", int(j)) for j in sm]
-    )
-    return CertMatrix(h=_kept_stack(phi, roles, sp, sm), row_labels=row_labels,
-                      col_labels=col_labels)
-
-
-def assemble_H(phi, meas: SignMeasurement, x,
-               tol: TolerancePolicy | None = None) -> CertMatrix:
-    """Boundary submatrix at a feasible signal.
-
-    Rows are the active rows of j_plus, the active rows of j_minus, then
-    all of j_zero; columns are the positive then negative support of x.
-    """
-    pol = tol or DEFAULT_TOLERANCES
-    phi = as_matrix(phi)
-    sp, sm, _, roles = _at_point(phi, meas, x, pol)
-    return _cert_matrix(phi, roles, sp, sm)
-
-
-def rrsp_at(phi, meas: SignMeasurement, x,
-            tol: TolerancePolicy | None = None) -> RrspCheck:
-    """Dual-witness test at a specific feasible signal.
-
-    The witness must be strictly signed exactly on the active rows,
-    vanish on the inactive signed rows, and is unrestricted on j_zero.
-    """
-    pol = tol or DEFAULT_TOLERANCES
-    phi = as_matrix(phi)
-    sp, sm, _, roles = _at_point(phi, meas, x, pol)
-    holds, witness, margin = _sign_witness_margin(phi, sp, sm, roles, pol)
-    return RrspCheck(holds=holds, margin=margin, witness=witness)
-
-
 def uniqueness_certificate(phi, y, x,
                            tol: TolerancePolicy | None = None) -> CertReport:
     """Decide whether x is the unique minimum-l1 signal reproducing y.
@@ -314,12 +257,28 @@ def uniqueness_certificate(phi, y, x,
     with the decoder).  Uniqueness holds exactly when the dual witness
     exists and the boundary submatrix has full column rank: the
     restriction-pair test of the sweeps at the point's own pair.
+
+    cert_matrix is that boundary submatrix H: the active rows of j_plus,
+    the active rows of j_minus, then all of j_zero, on the positive then
+    negative support of x; h_rank is its rank.  rrsp_holds, margin and
+    witness are the pointwise RRSP test: the best-margin dual witness that
+    is strictly signed on the active rows, zero on the inactive signed rows
+    and free on j_zero.
     """
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
     meas = as_measurement(y, phi.shape[0])
-    sp, sm, acts, roles = _at_point(phi, meas, x, pol)
-    cm = _cert_matrix(phi, roles, sp, sm)
+    x = as_vector(x, phi.shape[1])
+    sp, sm = signed_support(x, pol)
+    acts = active_sets(phi, x, meas, pol)
+    # The point's own restriction pair pins the inactive signed rows.
+    roles = _row_roles(meas, acts.inactive_plus, acts.inactive_minus)
+    cm = CertMatrix(
+        h=_kept_stack(phi, roles, sp, sm),
+        row_labels=tuple([("plus_active", int(i)) for i in roles.pos]
+                         + [("minus_active", int(i)) for i in roles.neg]
+                         + [("zero", int(i)) for i in roles.free]),
+        col_labels=tuple([("plus", int(j)) for j in sp] + [("minus", int(j)) for j in sm]))
     rank = column_rank(cm.h, pol)
     h_full = rank == cm.h.shape[1]
     holds, witness, margin = _sign_witness_margin(phi, sp, sm, roles, pol)
@@ -555,42 +514,44 @@ def _tpairs(meas: SignMeasurement):
                     yield TPair(t1=t1, t2=t2)
 
 
-def _pattern_pair_check(phi, meas: SignMeasurement, sp, sm,
-                        tol: TolerancePolicy, require_all: bool,
-                        y_label=None) -> tuple[bool, list[RrspEvidence]]:
-    """Quantify dual witnesses over restriction pairs for one pattern.
-
-    require_all=True demands a full-rank pair exists AND every full-rank
-    pair admits a witness (the sufficiency shape); False succeeds on the
-    first full-rank pair with a witness (the necessity shape).
+def _pair_evidence(phi: np.ndarray, meas: SignMeasurement, sp, sm,
+                   tol: TolerancePolicy, y_label=None):
+    """The restriction-pair test of one pattern under one measurement: yields
+    the RrspEvidence of each full-rank restriction pair, in _tpairs order.
+    A pair whose kept rows lose column rank is skipped before its witness LP.
     """
-    evidence: list[RrspEvidence] = []
-    found_full_rank = False
     for pair in _tpairs(meas):
         roles = _row_roles(meas, pair.t1, pair.t2)
         if column_rank(_kept_stack(phi, roles, sp, sm), tol) < len(sp) + len(sm):
             continue
-        found_full_rank = True
         holds, _, margin = _sign_witness_margin(phi, sp, sm, roles, tol)
-        ev = RrspEvidence(s_plus=tuple(sp), s_minus=tuple(sm), tpair=pair,
-                          y=y_label, margin=margin, holds=holds,
-                          note="witness" if holds else "no witness")
-        if require_all:
+        yield RrspEvidence(s_plus=tuple(sp), s_minus=tuple(sm), tpair=pair,
+                           y=y_label, margin=margin, holds=holds,
+                           note="witness" if holds else "no witness")
+
+
+def _for_all_pairs(phi: np.ndarray, triples, tol: TolerancePolicy
+                   ) -> tuple[bool, list[RrspEvidence]]:
+    """The for-all shape over (pattern, measurement, label) triples: each
+    triple needs a full-rank restriction pair, and every such pair a witness.
+
+    Returns the evidence of every pair tested, in order, up to and including
+    the first failing pair; a triple without a full-rank pair ends the list
+    with one "no full-rank restriction pair" entry (tpair None, margin -1).
+    """
+    evidence: list[RrspEvidence] = []
+    for (sp, sm), meas, y_label in triples:
+        tested = len(evidence)
+        for ev in _pair_evidence(phi, meas, sp, sm, tol, y_label):
             evidence.append(ev)
-            if not holds:
+            if not ev.holds:
                 return False, evidence
-        elif holds:
-            return True, [ev]
-    if require_all:
-        if not found_full_rank:
-            return False, [RrspEvidence(
+        if len(evidence) == tested:
+            evidence.append(RrspEvidence(
                 s_plus=tuple(sp), s_minus=tuple(sm), tpair=None, y=y_label,
-                margin=-1.0, holds=False, note="no full-rank restriction pair")]
-        return True, evidence
-    return False, [RrspEvidence(
-        s_plus=tuple(sp), s_minus=tuple(sm), tpair=None, y=y_label,
-        margin=-1.0, holds=False,
-        note="no full-rank restriction pair admits a witness")]
+                margin=-1.0, holds=False, note="no full-rank restriction pair"))
+            return False, evidence
+    return True, evidence
 
 
 def rrsp_wrt_y(phi, y, k: int, variant: str,
@@ -600,10 +561,15 @@ def rrsp_wrt_y(phi, y, k: int, variant: str,
 
     variant "sufficient": every realizable pattern of size <= k must have a
     full-rank restriction pair, and every full-rank pair must admit a
-    witness; vacuously true when no pattern qualifies.  variant
-    "necessary": some realizable pattern has some full-rank pair with a
-    witness.  Refuses instances beyond the exhaustive-sweep budget, and
-    raises ValueError when y does not have one row per row of phi or k is
+    witness; vacuously true when no pattern qualifies.  Its evidence is
+    that of every full-rank pair tested, pattern by pattern: all of them
+    when it holds, up to and including the first failing one otherwise, or
+    ending in a "no full-rank restriction pair" entry for the first pattern
+    without one.  variant "necessary": some realizable pattern has some
+    full-rank pair with a witness.  Its evidence is the first such pair
+    when it holds, and empty otherwise.  Evidence carries y = None.
+    Refuses instances beyond the exhaustive-sweep budget, and raises
+    ValueError when y does not have one row per row of phi or k is
     negative.
     """
     pol = tol or DEFAULT_TOLERANCES
@@ -619,18 +585,10 @@ def rrsp_wrt_y(phi, y, k: int, variant: str,
             f"(max {WRT_Y_MAX_SIGNED_ROWS}), {n} columns (max {WRT_Y_MAX_COLS})")
     patterns = patterns_of_measurement(phi, meas, k, pol)
     if variant == SUFFICIENT:
-        all_evidence: list[RrspEvidence] = []
-        for sp, sm in patterns:
-            ok, ev = _pattern_pair_check(phi, meas, sp, sm, pol, require_all=True)
-            all_evidence.extend(ev)
-            if not ok:
-                return False, all_evidence
-        return True, all_evidence
-    for sp, sm in patterns:
-        ok, ev = _pattern_pair_check(phi, meas, sp, sm, pol, require_all=False)
-        if ok:
-            return True, ev
-    return False, []
+        return _for_all_pairs(phi, ((p, meas, None) for p in patterns), pol)
+    found = next((ev for sp, sm in patterns
+                  for ev in _pair_evidence(phi, meas, sp, sm, pol) if ev.holds), None)
+    return (False, []) if found is None else (True, [found])
 
 
 def _carrier_candidates(phi: np.ndarray, k: int
@@ -664,8 +622,13 @@ def rrsp_order_k(phi, k: int, variant: str,
     one measurement and pair with a witness.  The measurements that can
     carry each pattern come from one exact face walk per support of size
     k, so no k-sparse measurement is missed; each is confirmed by the
-    membership margin LP when its pattern is reached.  Refuses shapes and
-    sparsities beyond ORDER_K_MAX_SHAPE, and k outside [0, n].
+    membership margin LP when its pattern is reached.  The sufficient
+    evidence is that of rrsp_wrt_y's sufficient variant, taken over every
+    (pattern, carrier) in turn, with y the carrier.  The necessary evidence
+    is the first holding pair of each pattern when it holds, and otherwise
+    one "no measurement carries this pattern with a witness" entry (tpair
+    and y None, margin -1) for the first pattern without one.  Refuses
+    shapes and sparsities beyond ORDER_K_MAX_SHAPE, and k outside [0, n].
     """
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
@@ -681,30 +644,25 @@ def rrsp_order_k(phi, k: int, variant: str,
             f"rows and {cols} columns, got {m}x{n}")
 
     candidates = _carrier_candidates(phi, k)
-    all_evidence: list[RrspEvidence] = []
+
+    def carriers(sp, sm):
+        # Each candidate is confirmed when the sweep reaches it.
+        for y in candidates.get((sp, sm), []):
+            meas = SignMeasurement.from_y(np.array(y))
+            if membership_P(phi, meas, sp, sm, pol):
+                yield meas, y
+
+    if variant == SUFFICIENT:
+        return _for_all_pairs(phi, ((p, meas, y) for p in _signed_patterns(n, k)
+                                    for meas, y in carriers(*p)), pol)
+    evidence: list[RrspEvidence] = []
     for sp, sm in _signed_patterns(n, k):
-        carriers = (meas for y in candidates.get((sp, sm), [])
-                    if membership_P(phi, meas := SignMeasurement.from_y(np.array(y)),
-                                    sp, sm, pol))
-        if variant == SUFFICIENT:
-            for meas in carriers:
-                ok, ev = _pattern_pair_check(
-                    phi, meas, sp, sm, pol, require_all=True,
-                    y_label=tuple(int(v) for v in meas.y))
-                all_evidence.extend(ev)
-                if not ok:
-                    return False, all_evidence
-            continue
-        for meas in carriers:
-            ok, ev = _pattern_pair_check(
-                phi, meas, sp, sm, pol, require_all=False,
-                y_label=tuple(int(v) for v in meas.y))
-            if ok:
-                all_evidence.extend(ev)
-                break
-        else:
+        found = next((ev for meas, y in carriers(sp, sm)
+                      for ev in _pair_evidence(phi, meas, sp, sm, pol, y) if ev.holds), None)
+        if found is None:
             return False, [RrspEvidence(
                 s_plus=sp, s_minus=sm, tpair=None, y=None,
                 margin=-1.0, holds=False,
                 note="no measurement carries this pattern with a witness")]
-    return True, all_evidence
+        evidence.append(found)
+    return True, evidence

@@ -36,11 +36,13 @@ class ExperimentConfig:
     decoders: tuple[str, ...] = ("bp",)
 
     def __post_init__(self) -> None:
+        for name in ("m", "n", "trials", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.m < 1 or self.n < 1:
             raise ValueError("matrix dimensions must be positive")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        ks = tuple(int(k) for k in self.k_list)
+        ks = tuple(_integer("sparsity", k) for k in self.k_list)
         if not ks:
             raise ValueError("k_list must be nonempty")
         for k in ks:
@@ -48,13 +50,24 @@ class ExperimentConfig:
                 raise ValueError(f"sparsity {k} outside [1, {self.n}]")
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"ensemble must be one of {ENSEMBLES}")
-        if not (0 <= int(self.seed) < 2 ** 64):
+        if not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must fit in 64 bits")
         decs = tuple(self.decoders)
         if not decs or any(d not in DECODERS for d in decs):
             raise ValueError(f"decoders must be a nonempty subset of {DECODERS}")
         object.__setattr__(self, "k_list", ks)
         object.__setattr__(self, "decoders", decs)
+
+
+def _integer(name: str, value) -> int:
+    """value as an int, so that it is recorded as the value it runs as;
+    ValueError unless integral (3.0 passes, 3.5 and "3" do not)."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass

@@ -184,28 +184,39 @@ def _face_signs(a: np.ndarray) -> np.ndarray:
     hyperplane h of the current subspace the points of the walk of h (an
     orthonormal basis by QR), each also moved by +-eps along h's unit
     normal, eps half the step to the nearest other hyperplane.  Every face
-    lies in a hyperplane or borders one, so the walk misses none.
+    lies in a hyperplane or borders one, so the walk misses none.  A flat
+    reached along several hyperplane paths is walked once per call: it is
+    keyed by the rows of a that vanish on it, whose hyperplanes intersect
+    in exactly that flat.
     """
     d = a.shape[1]
     norms = np.linalg.norm(a, axis=1)
+    walked: dict[bytes, np.ndarray] = {}
 
     def signs(z: np.ndarray) -> np.ndarray:
         v = z @ a.T
         thr = _FACE_ZERO * np.linalg.norm(z, axis=1, keepdims=True) * norms
         return np.where(v > thr, 1, np.where(v < -thr, -1, 0))
 
-    def walk(q: np.ndarray) -> np.ndarray:
+    def cutting(b: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(b, axis=1) > _FACE_ZERO * norms
+
+    def walk(q: np.ndarray, b: np.ndarray) -> np.ndarray:
         if not q.shape[1]:
             return np.zeros((1, d))
-        b = a @ q
-        u = b[np.linalg.norm(b, axis=1) > _FACE_ZERO * norms]
+        u = b[cutting(b)]
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         # A row repeats an earlier hyperplane when it is parallel to it.
         resid = np.linalg.norm(u[:, None] - (u @ u.T)[..., None] * u[None], axis=2)
         points = [np.zeros((1, d))]
         for w in u[~np.tril(resid <= _FACE_ZERO, -1).any(axis=1)]:
             normal = q @ w
-            p = walk(q @ np.linalg.qr(w[:, None], mode="complete")[0][:, 1:])
+            sub = q @ np.linalg.qr(w[:, None], mode="complete")[0][:, 1:]
+            b_sub = a @ sub
+            key = cutting(b_sub).tobytes()
+            if key not in walked:
+                walked[key] = walk(sub, b_sub)
+            p = walked[key]
             step = np.abs(a @ normal)
             cross = (signs(p) != 0) & (step > _FACE_ZERO * norms)
             ratio = np.abs(p @ a.T) / np.where(cross, step, 1.0)
@@ -217,4 +228,4 @@ def _face_signs(a: np.ndarray) -> np.ndarray:
             first.setdefault(row.tobytes(), i)
         return pts[list(first.values())]
 
-    return signs(walk(np.eye(d)))
+    return signs(walk(np.eye(d), a))

@@ -16,14 +16,12 @@ from onebitcs.certify import (
     RrspEvidence,
     RrspWitness,
     _membership_margin,
-    _pattern_pair_check,
+    _pair_evidence,
     _signed_patterns,
-    assemble_H,
     membership_P,
     pattern_witness,
     patterns_of_measurement,
     relaxation_consistency,
-    rrsp_at,
     rrsp_order_k,
     rrsp_wrt_y,
     uniqueness_certificate,
@@ -45,42 +43,45 @@ MEAS = SignMeasurement.from_y(Y)
 
 
 class TestAssembleH:
+    """The boundary submatrix H that uniqueness_certificate assembles."""
+
     def test_flagship_single_active_row(self):
-        cm = assemble_H(PHI, MEAS, np.array([1., 0., 0., 0.]))
+        cm = uniqueness_certificate(PHI, Y, np.array([1., 0., 0., 0.])).cert_matrix
         assert cm.h.shape == (1, 1)
         assert cm.h[0, 0] == -1.0
         assert cm.row_labels == (("minus_active", 1),)
         assert cm.col_labels == (("plus", 0),)
 
     def test_identity_full_boundary(self):
-        meas = SignMeasurement.from_y(np.array([1, -1]))
-        cm = assemble_H(np.eye(2), meas, np.array([1., -1.]))
+        cm = uniqueness_certificate(np.eye(2), np.array([1, -1]),
+                                    np.array([1., -1.])).cert_matrix
         np.testing.assert_array_equal(cm.h, np.eye(2))
 
     def test_interior_point_has_empty_row_set(self):
-        meas = SignMeasurement.from_y(np.array([1, -1]))
-        cm = assemble_H(np.eye(2), meas, np.array([2., -2.]))
+        cm = uniqueness_certificate(np.eye(2), np.array([1, -1]),
+                                    np.array([2., -2.])).cert_matrix
         assert cm.h.shape == (0, 2)
         assert column_rank(cm.h) == 0
 
 
 class TestRrspAt:
+    """The pointwise RRSP test inside uniqueness_certificate."""
+
     def test_identity_boundary_point_holds(self):
-        meas = SignMeasurement.from_y(np.array([1, -1]))
-        check = rrsp_at(np.eye(2), meas, np.array([1., -1.]))
-        assert check.holds
+        check = uniqueness_certificate(np.eye(2), np.array([1, -1]), np.array([1., -1.]))
+        assert check.rrsp_holds
         assert check.margin == pytest.approx(1.0)
         np.testing.assert_allclose(check.witness.w, [1.0, -1.0], atol=1e-9)
         np.testing.assert_allclose(check.witness.eta, [1.0, -1.0], atol=1e-9)
 
     def test_flagship_decoder_point_fails(self):
-        check = rrsp_at(PHI, MEAS, np.array([1., 0., 0., 0.]))
-        assert not check.holds
+        check = uniqueness_certificate(PHI, Y, np.array([1., 0., 0., 0.]))
+        assert not check.rrsp_holds
         assert check.margin == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_signal_rejected(self):
         with pytest.raises(ValueError):
-            rrsp_at(PHI, MEAS, np.zeros(4))
+            uniqueness_certificate(PHI, Y, np.zeros(4))
 
 
 class TestUniquenessCertificate:
@@ -550,26 +551,30 @@ def _order_k_every_measurement(phi, k: int, variant: str) -> tuple[bool, list[Rr
     all_evidence: list[RrspEvidence] = []
     for sp, sm in _signed_patterns(phi.shape[1], k):
         carriers = [meas for meas in nonzero if membership_P(phi, meas, sp, sm)]
-        if variant == SUFFICIENT:
-            for meas in carriers:
-                ok, ev = _pattern_pair_check(
-                    phi, meas, sp, sm, DEFAULT_TOLERANCES, require_all=True,
-                    y_label=tuple(int(v) for v in meas.y))
-                all_evidence.extend(ev)
-                if not ok:
-                    return False, all_evidence
-            continue
+        found = None
         for meas in carriers:
-            ok, ev = _pattern_pair_check(
-                phi, meas, sp, sm, DEFAULT_TOLERANCES, require_all=False,
-                y_label=tuple(int(v) for v in meas.y))
-            if ok:
-                all_evidence.extend(ev)
-                break
-        else:
-            return False, [RrspEvidence(
-                s_plus=sp, s_minus=sm, tpair=None, y=None, margin=-1.0, holds=False,
-                note="no measurement carries this pattern with a witness")]
+            label = tuple(int(v) for v in meas.y)
+            pairs = _pair_evidence(phi, meas, sp, sm, DEFAULT_TOLERANCES, label)
+            if variant == NECESSARY:
+                found = next((ev for ev in pairs if ev.holds), None)
+                if found is not None:
+                    break
+                continue
+            tested = len(all_evidence)
+            for ev in pairs:
+                all_evidence.append(ev)
+                if not ev.holds:
+                    return False, all_evidence
+            if len(all_evidence) == tested:
+                return False, all_evidence + [RrspEvidence(
+                    s_plus=sp, s_minus=sm, tpair=None, y=label, margin=-1.0,
+                    holds=False, note="no full-rank restriction pair")]
+        if variant == NECESSARY:
+            if found is None:
+                return False, [RrspEvidence(
+                    s_plus=sp, s_minus=sm, tpair=None, y=None, margin=-1.0, holds=False,
+                    note="no measurement carries this pattern with a witness")]
+            all_evidence.append(found)
     return True, all_evidence
 
 
@@ -658,6 +663,33 @@ class TestQuantifiedRrsp:
         assert any(not phi.any(axis=0).all() for phi, _ in cases)
         for phi, k in cases:
             assert rrsp_order_k(phi, k, variant) == _order_k_every_measurement(phi, k, variant)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_wrt_y_sufficient_implies_necessary(self, k):
+        """On the family drawn below: the for-all variant with some
+        realizable pattern implies the exists variant, and the exists
+        variant returns one holding pair when true and nothing when false."""
+        rng = np.random.default_rng(42)
+        implied = 0
+        for _ in range(40):
+            m = int(rng.integers(1, 5))
+            n = int(rng.integers(1, 5))
+            phi = rng.normal(size=(m, n))
+            y = sign_standard(phi @ rng.normal(size=n))
+            meas = SignMeasurement.from_y(y)
+            if meas.is_zero():
+                continue
+            necessary, evidence = rrsp_wrt_y(phi, meas, k, NECESSARY)
+            if necessary:
+                assert len(evidence) == 1 and evidence[0].holds
+                assert isinstance(evidence[0], RrspEvidence)
+            else:
+                assert evidence == []
+            sufficient, _ = rrsp_wrt_y(phi, meas, k, SUFFICIENT)
+            if sufficient and patterns_of_measurement(phi, meas, k):
+                assert necessary
+                implied += 1
+        assert implied >= 3
 
     def test_sufficient_implies_full_rank_supports(self):
         """Whenever the for-all variant holds, the full column submatrix

@@ -39,6 +39,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(m=4, n=8, k_list=(1,), trials=5, decoders=("omp",))
 
+    @pytest.mark.parametrize("field,value", [("seed", 3.5), ("k_list", (2.5,)), ("m", 4.5)],
+                             ids=["seed", "k_list", "m"])
+    def test_rejects_non_integral_values(self, field, value):
+        with pytest.raises(ValueError, match="integer"):
+            small_config(**{field: value})
+
+    def test_integral_float_seed_is_recorded_as_the_int(self):
+        """seed=3.0 draws what seed=3 draws, so it must write the same bytes."""
+        r_float, s_float = run_experiment(small_config(seed=3.0, trials=3))
+        r_int, s_int = run_experiment(small_config(seed=3, trials=3))
+        assert csv_lines(r_float) == csv_lines(r_int)
+        assert summary_json(s_float) == summary_json(s_int)
+
+    def test_integral_float_dimension_runs(self):
+        cfg = small_config(m=4.0, trials=2)
+        assert type(cfg.m) is int
+        records, _ = run_experiment(cfg)
+        assert {r.m for r in records} == {4}
+
 
 def test_row_count_matches_grid():
     cfg = small_config()

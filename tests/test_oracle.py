@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from onebitcs import lp
-from onebitcs.certify import assemble_H, membership_P
+from onebitcs.certify import membership_P, uniqueness_certificate
 from onebitcs.decoders import encode_bp_lp, one_bit_bp
-from onebitcs.linalg import column_rank
+from onebitcs.linalg import _face_signs, column_rank
 from onebitcs.oracle import (
     active_set_augmentation,
     enumerate_P,
@@ -175,6 +175,17 @@ class TestYkEnumeration:
         assert len(res) == _generic_face_count(m, k)
         assert len({tuple(int(v) for v in meas.y) for meas in res}) == len(res)
 
+    def test_walk_reaches_each_flat_once(self, monkeypatch):
+        """9 generic planes in R^3 meet in 36 lines and the origin.  The walk
+        forms one basis per (flat, hyperplane of it): 9 planes, 9 * 8 lines
+        and 36 origins, not one per path (9 + 72 + 72)."""
+        a = np.vstack([np.random.default_rng(7).normal(size=(6, 3)), np.eye(3)])
+        qr, bases = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: bases.append(1) or qr(*args, **kw))
+        signs = _face_signs(a)
+        assert len(bases) == 9 + 9 * 8 + 36
+        assert len({row.tobytes() for row in signs}) == len(signs) == _generic_face_count(9, 3)
+
     def test_dense_k3_contains_zero_entries_and_every_sample(self):
         rng = np.random.default_rng(20261018)
         phi = rng.normal(size=(6, 6))
@@ -265,7 +276,7 @@ class TestAugmentationWalk:
                 trace = active_set_augmentation(phi, y, x)
                 assert not trace.support_shrunk
                 assert trace.stack_full_rank
-                cm = assemble_H(phi, meas, trace.final_x)
+                cm = uniqueness_certificate(phi, meas, trace.final_x).cert_matrix
                 assert column_rank(cm.h) == cm.h.shape[1]
                 verified += 1
         assert verified >= 10
