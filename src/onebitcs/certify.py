@@ -51,8 +51,9 @@ NECESSARY = "necessary"
 WRT_Y_MAX_SIGNED_ROWS = 12
 WRT_Y_MAX_COLS = 10
 # (max rows, max columns) of rrsp_order_k per sparsity.  Dense necessary
-# sweeps are the slowest: 8x8 at k = 2 took 2-3 s, 6x6 at k = 3 1-5.5 s and
-# 7x6 at k = 3 15-17 s (one core of a shared 2-core machine).
+# sweeps are the slowest: on default_rng(0, 1, 7) normals, 8x8 at k = 2 took
+# 2.2-4.6 s, 6x6 at k = 3 0.7-4.7 s and 7x6 at k = 3 1.2-13.1 s (CPU time,
+# one core of a shared 2-core machine).
 ORDER_K_MAX_SHAPE = {0: (8, 8), 1: (8, 8), 2: (8, 8), 3: (6, 6)}
 
 
@@ -384,6 +385,13 @@ def relaxation_consistency(phi, y, mode: str,
     return len(violations) == 0, violations
 
 
+def _refuted(block: np.ndarray):
+    """The sign refutation of _membership_margin, for a block of signed rows
+    y_i phi_iS s (shape (..., rows, |S|)): true where some row has no
+    positive entry, so that z >= 0 caps it at 0 and the margin is 0."""
+    return (block <= 0.0).all(axis=-1).any(axis=-1)
+
+
 def _membership_margin(phi: np.ndarray, meas: SignMeasurement, s_plus,
                        s_minus) -> lp.MarginCertificate:
     """Margin LP deciding whether a signed support is realized by some
@@ -421,7 +429,7 @@ def _membership_margin(phi: np.ndarray, meas: SignMeasurement, s_plus,
     signed = meas.j_plus.size + meas.j_minus.size
     block = phi[np.ix_(rows, support)] * s
     block[:signed] *= meas.y[rows[:signed], None]
-    if (block[:signed] <= 0.0).all(axis=1).any():
+    if _refuted(block[:signed]):
         return lp.MarginCertificate(t_star=0.0, witness=np.zeros(n))
 
     a = np.zeros((m + 2 * k, k))
@@ -475,14 +483,27 @@ def pattern_witness(phi, y, s_plus, s_minus,
     return cert.witness.copy()
 
 
+def _support_signs(n: int, k: int):
+    """Every support of size 1..k over n columns, ascending by size then
+    lexicographic, with its sign vectors as the rows of one array in
+    product((1, -1)) order."""
+    for size in range(1, k + 1):
+        signs = np.array(list(product((1, -1), repeat=size)))
+        for supp in combinations(range(n), size):
+            yield supp, signs
+
+
+def _split(supp, signs) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return (tuple(j for j, s in zip(supp, signs) if s == 1),
+            tuple(j for j, s in zip(supp, signs) if s == -1))
+
+
 def _signed_patterns(n: int, k: int):
     """Every nonempty signed support of size at most k over n columns, as
     (s_plus, s_minus), in (size, support, signs) lexicographic order."""
-    for size in range(1, k + 1):
-        for supp in combinations(range(n), size):
-            for signs in product((1, -1), repeat=size):
-                yield (tuple(j for j, s in zip(supp, signs) if s == 1),
-                       tuple(j for j, s in zip(supp, signs) if s == -1))
+    for supp, signs in _support_signs(n, k):
+        for s in signs:
+            yield _split(supp, s)
 
 
 def patterns_of_measurement(phi, meas: SignMeasurement, k: int,
@@ -490,6 +511,8 @@ def patterns_of_measurement(phi, meas: SignMeasurement, k: int,
                             ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All nonempty signed supports of size at most k realized by
     consistent signals, in (size, support, signs) lexicographic order.
+    The sign refutation of membership_P runs once per support, on every
+    sign vector at once; the vectors it leaves go to membership_P.
     Raises ValueError when meas does not have one row per row of phi, or
     when k is negative (k = 0 and k > n are valid caps)."""
     pol = tol or DEFAULT_TOLERANCES
@@ -497,8 +520,14 @@ def patterns_of_measurement(phi, meas: SignMeasurement, k: int,
     meas = as_measurement(meas, phi.shape[0])
     if k < 0:
         raise ValueError(f"sparsity must be nonnegative, got {k}")
-    return [(sp, sm) for sp, sm in _signed_patterns(phi.shape[1], k)
-            if membership_P(phi, meas, sp, sm, pol)]
+    signed = np.concatenate([meas.j_plus, meas.j_minus])
+    y_phi = meas.y[signed, None] * phi[signed]
+    found = []
+    for supp, signs in _support_signs(phi.shape[1], k):
+        refuted = _refuted(signs[:, None, :] * y_phi[:, supp])
+        found += [p for p in (_split(supp, s) for s in signs[~refuted])
+                  if membership_P(phi, meas, *p, pol)]
+    return found
 
 
 def _tpairs(meas: SignMeasurement):
@@ -514,23 +543,54 @@ def _tpairs(meas: SignMeasurement):
                     yield TPair(t1=t1, t2=t2)
 
 
+def _mirror_memo(twins: dict, key: tuple, compute):
+    """compute() for key = (s_plus, s_minus, y, *pair), shared with the
+    sign-mirrored twin (s_minus, s_plus, -y, *reversed(pair)).
+
+    A key whose lowest support column is positive stores its answer in
+    twins; one whose lowest column is negative reads its twin's answer when
+    stored, and computes its own otherwise.
+    """
+    sp, sm, y, *pair = key
+    if sm and (not sp or sm[0] < sp[0]):
+        twin = (sm, sp, tuple(-v for v in y), *pair[::-1])
+        return twins[twin] if twin in twins else compute()
+    twins[key] = answer = compute()
+    return answer
+
+
+def _pair_test(phi: np.ndarray, meas: SignMeasurement, sp, sm, pair: TPair,
+               tol: TolerancePolicy) -> tuple[bool, float] | None:
+    """(holds, margin) of the witness LP under one restriction pair, or None
+    when the kept rows lose column rank and the LP is skipped."""
+    roles = _row_roles(meas, pair.t1, pair.t2)
+    if column_rank(_kept_stack(phi, roles, sp, sm), tol) < len(sp) + len(sm):
+        return None
+    holds, _, margin = _sign_witness_margin(phi, sp, sm, roles, tol)
+    return holds, margin
+
+
 def _pair_evidence(phi: np.ndarray, meas: SignMeasurement, sp, sm,
-                   tol: TolerancePolicy, y_label=None):
+                   tol: TolerancePolicy, twins: dict, y_label=None):
     """The restriction-pair test of one pattern under one measurement: yields
     the RrspEvidence of each full-rank restriction pair, in _tpairs order.
-    A pair whose kept rows lose column rank is skipped before its witness LP.
+    A pair whose kept rows lose column rank is skipped before its witness
+    LP.  twins is the caller's per-call _mirror_memo of each pair's test.
     """
+    sp, sm = tuple(sp), tuple(sm)
+    y = tuple(int(v) for v in meas.y)
     for pair in _tpairs(meas):
-        roles = _row_roles(meas, pair.t1, pair.t2)
-        if column_rank(_kept_stack(phi, roles, sp, sm), tol) < len(sp) + len(sm):
+        test = _mirror_memo(twins, (sp, sm, y, pair.t1, pair.t2),
+                            lambda: _pair_test(phi, meas, sp, sm, pair, tol))
+        if test is None:
             continue
-        holds, _, margin = _sign_witness_margin(phi, sp, sm, roles, tol)
-        yield RrspEvidence(s_plus=tuple(sp), s_minus=tuple(sm), tpair=pair,
-                           y=y_label, margin=margin, holds=holds,
+        holds, margin = test
+        yield RrspEvidence(s_plus=sp, s_minus=sm, tpair=pair, y=y_label,
+                           margin=margin, holds=holds,
                            note="witness" if holds else "no witness")
 
 
-def _for_all_pairs(phi: np.ndarray, triples, tol: TolerancePolicy
+def _for_all_pairs(phi: np.ndarray, triples, tol: TolerancePolicy, twins: dict
                    ) -> tuple[bool, list[RrspEvidence]]:
     """The for-all shape over (pattern, measurement, label) triples: each
     triple needs a full-rank restriction pair, and every such pair a witness.
@@ -542,7 +602,7 @@ def _for_all_pairs(phi: np.ndarray, triples, tol: TolerancePolicy
     evidence: list[RrspEvidence] = []
     for (sp, sm), meas, y_label in triples:
         tested = len(evidence)
-        for ev in _pair_evidence(phi, meas, sp, sm, tol, y_label):
+        for ev in _pair_evidence(phi, meas, sp, sm, tol, twins, y_label):
             evidence.append(ev)
             if not ev.holds:
                 return False, evidence
@@ -584,10 +644,11 @@ def rrsp_wrt_y(phi, y, k: int, variant: str,
             f"instance beyond exhaustive budget: {signed} signed rows "
             f"(max {WRT_Y_MAX_SIGNED_ROWS}), {n} columns (max {WRT_Y_MAX_COLS})")
     patterns = patterns_of_measurement(phi, meas, k, pol)
+    twins: dict = {}
     if variant == SUFFICIENT:
-        return _for_all_pairs(phi, ((p, meas, None) for p in patterns), pol)
+        return _for_all_pairs(phi, ((p, meas, None) for p in patterns), pol, twins)
     found = next((ev for sp, sm in patterns
-                  for ev in _pair_evidence(phi, meas, sp, sm, pol) if ev.holds), None)
+                  for ev in _pair_evidence(phi, meas, sp, sm, pol, twins) if ev.holds), None)
     return (False, []) if found is None else (True, [found])
 
 
@@ -629,6 +690,17 @@ def rrsp_order_k(phi, k: int, variant: str,
     one "no measurement carries this pattern with a witness" entry (tpair
     and y None, margin -1) for the first pattern without one.  Refuses
     shapes and sparsities beyond ORDER_K_MAX_SHAPE, and k outside [0, n].
+
+    A pattern whose lowest column is negative is not tested afresh where
+    its sign-mirrored twin (s_minus, s_plus), reached earlier in the same
+    support, already was: under the negated carrier and the swapped pair
+    (t2, t1) it reuses the twin's membership verdict, rank decision,
+    witness margin and holds.  The reuse is exact: y = sign(phi x) exactly
+    when -y = sign(phi (-x)), the kept rows are the twin's, permuted, and
+    w is a witness for the pattern exactly when -w is one for the twin, at
+    the same margin.  Each evidence entry keeps its own pattern, pair,
+    carrier and place in the list; only a reused margin can differ, by
+    rounding, from the pattern's own LP.
     """
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
@@ -644,21 +716,24 @@ def rrsp_order_k(phi, k: int, variant: str,
             f"rows and {cols} columns, got {m}x{n}")
 
     candidates = _carrier_candidates(phi, k)
+    twins: dict = {}
 
     def carriers(sp, sm):
         # Each candidate is confirmed when the sweep reaches it.
         for y in candidates.get((sp, sm), []):
             meas = SignMeasurement.from_y(np.array(y))
-            if membership_P(phi, meas, sp, sm, pol):
+            if _mirror_memo(twins, (sp, sm, y),
+                            lambda: membership_P(phi, meas, sp, sm, pol)):
                 yield meas, y
 
     if variant == SUFFICIENT:
         return _for_all_pairs(phi, ((p, meas, y) for p in _signed_patterns(n, k)
-                                    for meas, y in carriers(*p)), pol)
+                                    for meas, y in carriers(*p)), pol, twins)
     evidence: list[RrspEvidence] = []
     for sp, sm in _signed_patterns(n, k):
         found = next((ev for meas, y in carriers(sp, sm)
-                      for ev in _pair_evidence(phi, meas, sp, sm, pol, y) if ev.holds), None)
+                      for ev in _pair_evidence(phi, meas, sp, sm, pol, twins, y)
+                      if ev.holds), None)
         if found is None:
             return False, [RrspEvidence(
                 s_plus=sp, s_minus=sm, tpair=None, y=None,

@@ -187,7 +187,11 @@ def _face_signs(a: np.ndarray) -> np.ndarray:
     lies in a hyperplane or borders one, so the walk misses none.  A flat
     reached along several hyperplane paths is walked once per call: it is
     keyed by the rows of a that vanish on it, whose hyperplanes intersect
-    in exactly that flat.
+    in exactly that flat.  A line is the base case: its faces are the
+    origin and two rays, so its points are 0, v and -v, with v its basis
+    column oriented by the first row that cuts it.  These are the points
+    the general step reaches there (from the origin no hyperplane is
+    crossed, so eps is 1), without forming its basis or step.
     """
     d = a.shape[1]
     norms = np.linalg.norm(a, axis=1)
@@ -202,13 +206,19 @@ def _face_signs(a: np.ndarray) -> np.ndarray:
         return np.linalg.norm(b, axis=1) > _FACE_ZERO * norms
 
     def walk(q: np.ndarray, b: np.ndarray) -> np.ndarray:
+        origin = np.zeros((1, d))
         if not q.shape[1]:
-            return np.zeros((1, d))
+            return origin
         u = b[cutting(b)]
+        if q.shape[1] == 1:
+            if not u.size:
+                return origin
+            v = q[:, 0] if u[0, 0] > 0 else -q[:, 0]
+            return np.concatenate([origin, origin + v, origin - v])
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         # A row repeats an earlier hyperplane when it is parallel to it.
         resid = np.linalg.norm(u[:, None] - (u @ u.T)[..., None] * u[None], axis=2)
-        points = [np.zeros((1, d))]
+        points = [origin]
         for w in u[~np.tril(resid <= _FACE_ZERO, -1).any(axis=1)]:
             normal = q @ w
             sub = q @ np.linalg.qr(w[:, None], mode="complete")[0][:, 1:]

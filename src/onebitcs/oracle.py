@@ -289,9 +289,10 @@ def enumerate_Yk(phi, k: int, tol: TolerancePolicy | None = None
 
     Exact for every k: each support S of size k contributes the sign
     vectors of the faces of the central arrangement of the rows of phi
-    restricted to S, and every new one is confirmed by a margin LP on S.  Refuses, before any work, instances
-    whose walk count C(n, k) m^k (the walk of one support descends
-    through at most m hyperplanes at each of k levels) exceeds YK_BUDGET.
+    restricted to S, and every new one is confirmed by a margin LP on S.
+    Refuses, before any work, instances whose walk count C(n, k) m^k (the
+    walk of one support descends through at most m hyperplanes at each of
+    k levels) exceeds YK_BUDGET.
     """
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)

@@ -1,5 +1,6 @@
 """Uniqueness certificates, dual witnesses, and relaxation audits."""
 
+import dataclasses
 import math
 from itertools import combinations, product
 
@@ -15,6 +16,7 @@ from onebitcs.certify import (
     SUFFICIENT,
     RrspEvidence,
     RrspWitness,
+    TPair,
     _membership_margin,
     _pair_evidence,
     _signed_patterns,
@@ -544,17 +546,35 @@ def _row_sparse(rng, m: int, n: int) -> np.ndarray:
     return phi
 
 
-def _order_k_every_measurement(phi, k: int, variant: str) -> tuple[bool, list[RrspEvidence]]:
+def _criterion5_family(seed: int, draws: int) -> list[np.ndarray]:
+    """Dense, row-sparse and zero-column matrices, m, n in [2, 5], three per draw."""
+    rng = np.random.default_rng(seed)
+    family = []
+    for _ in range(draws):
+        m, n = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        zero_column = rng.normal(size=(m, n))
+        zero_column[:, rng.integers(0, n)] = 0.0
+        family += [rng.normal(size=(m, n)), _row_sparse(rng, m, n), zero_column]
+    return family
+
+
+def _order_k_every_measurement(phi, k: int, variant: str, share_twins: bool = True
+                               ) -> tuple[bool, list[RrspEvidence]]:
     """rrsp_order_k with the carriers of each pattern found by testing
-    every nonzero measurement of enumerate_Yk for membership."""
+    every nonzero measurement of enumerate_Yk for membership.  With
+    share_twins every _pair_evidence call gets the one dict of the sweep,
+    as in rrsp_order_k; without it each gets its own, so nothing is reused
+    between sign-mirrored twins."""
     nonzero = [meas for meas in enumerate_Yk(phi, k) if not meas.is_zero()]
+    twins: dict = {}
     all_evidence: list[RrspEvidence] = []
     for sp, sm in _signed_patterns(phi.shape[1], k):
         carriers = [meas for meas in nonzero if membership_P(phi, meas, sp, sm)]
         found = None
         for meas in carriers:
             label = tuple(int(v) for v in meas.y)
-            pairs = _pair_evidence(phi, meas, sp, sm, DEFAULT_TOLERANCES, label)
+            pairs = _pair_evidence(phi, meas, sp, sm, DEFAULT_TOLERANCES,
+                                   twins if share_twins else {}, label)
             if variant == NECESSARY:
                 found = next((ev for ev in pairs if ev.holds), None)
                 if found is not None:
@@ -663,6 +683,50 @@ class TestQuantifiedRrsp:
         assert any(not phi.any(axis=0).all() for phi, _ in cases)
         for phi, k in cases:
             assert rrsp_order_k(phi, k, variant) == _order_k_every_measurement(phi, k, variant)
+
+    @pytest.mark.parametrize("variant", [SUFFICIENT, NECESSARY])
+    def test_order_k_twins_share_answers(self, variant):
+        """A pattern whose lowest column is negative reads the margin and
+        holds of its sign-mirrored twin (s_minus, s_plus) under -y and the
+        swapped pair, exactly; and the evidence matches a sweep that reuses
+        nothing, field by field, margins within 1e-12 relative.  Solved
+        afresh, 9 twin margins of this family differ in their last bits."""
+        compared = 0
+        for phi in _criterion5_family(2, 3):
+            for k in range(1, min(3, phi.shape[1]) + 1):
+                ok, evidence = rrsp_order_k(phi, k, variant)
+                by_key = {(ev.s_plus, ev.s_minus, ev.y, ev.tpair): ev
+                          for ev in evidence if ev.tpair is not None}
+                for ev in evidence:
+                    sp, sm = ev.s_plus, ev.s_minus
+                    if ev.tpair is None or not sm or (sp and sp[0] < sm[0]):
+                        continue
+                    twin = by_key.get((sm, sp, tuple(-v for v in ev.y),
+                                       TPair(t1=ev.tpair.t2, t2=ev.tpair.t1)))
+                    if twin is not None:
+                        assert (ev.margin, ev.holds) == (twin.margin, twin.holds)
+                        compared += 1
+                ref_ok, ref = _order_k_every_measurement(phi, k, variant, share_twins=False)
+                assert ok == ref_ok and len(evidence) == len(ref)
+                for ev, r in zip(evidence, ref):
+                    assert dataclasses.replace(ev, margin=r.margin) == r
+                    assert math.isclose(ev.margin, r.margin, rel_tol=1e-12)
+        assert compared >= 20
+
+    @pytest.mark.parametrize("k", [0, 2, 6])
+    def test_patterns_of_measurement_is_the_filtered_pattern_list(self, k):
+        """The per-support refutation keeps exactly the patterns that
+        membership_P accepts, in _signed_patterns order, for measurements
+        of 1-sparse and dense signals."""
+        rng = np.random.default_rng(5)
+        for phi in _criterion5_family(2, 3):
+            n = phi.shape[1]
+            for size in (1, n):
+                x = np.zeros(n)
+                x[rng.choice(n, size=size, replace=False)] = rng.normal(size=size)
+                meas = SignMeasurement.from_y(sign_standard(phi @ x))
+                expected = [p for p in _signed_patterns(n, k) if membership_P(phi, meas, *p)]
+                assert patterns_of_measurement(phi, meas, k) == expected
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_wrt_y_sufficient_implies_necessary(self, k):

@@ -177,13 +177,14 @@ class TestYkEnumeration:
 
     def test_walk_reaches_each_flat_once(self, monkeypatch):
         """9 generic planes in R^3 meet in 36 lines and the origin.  The walk
-        forms one basis per (flat, hyperplane of it): 9 planes, 9 * 8 lines
-        and 36 origins, not one per path (9 + 72 + 72)."""
+        forms one basis per (plane or space, hyperplane of it): 9 planes and
+        9 * 8 lines, not one per path.  A line is the base case and forms
+        none for its origin."""
         a = np.vstack([np.random.default_rng(7).normal(size=(6, 3)), np.eye(3)])
         qr, bases = np.linalg.qr, []
         monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: bases.append(1) or qr(*args, **kw))
         signs = _face_signs(a)
-        assert len(bases) == 9 + 9 * 8 + 36
+        assert len(bases) == 9 + 9 * 8
         assert len({row.tobytes() for row in signs}) == len(signs) == _generic_face_count(9, 3)
 
     def test_dense_k3_contains_zero_entries_and_every_sample(self):
