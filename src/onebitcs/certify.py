@@ -13,8 +13,13 @@ Three layers:
   matrix can produce.
 
 Every "strictly positive / strictly less than 1" requirement is decided by
-maximizing a common margin with an LP and comparing against margin_tol;
-nothing is perturbed by hand-picked epsilons.
+maximizing a common margin and comparing against margin_tol; nothing is
+perturbed by hand-picked epsilons.  The margin comes from an LP, except in
+two cases where the constraints leave one candidate, so the optimum is
+read off in closed form: the membership of a one-column support (the
+margin grows with the one coordinate, up to its cap), and a restriction
+pair whose kept stack H is square and of full rank (H.T w = s fixes the
+witness).
 """
 
 from __future__ import annotations
@@ -215,6 +220,33 @@ def _sign_witness_margin(phi: np.ndarray, s_plus, s_minus, roles: _Roles,
     return cert.t_star >= tol.margin_tol, witness, float(cert.t_star)
 
 
+def _square_witness_margin(phi: np.ndarray, h: np.ndarray, s_plus, s_minus,
+                           roles: _Roles, tol: TolerancePolicy
+                           ) -> tuple[bool, RrspWitness | None, float]:
+    """_sign_witness_margin's answer when the kept stack h (_kept_stack of
+    the same roles) is square and of full rank.
+
+    The equalities on the support read h.T @ w_K = s over the kept rows K,
+    since the pinned entries are zero; so w_K = h^-T s is the only witness
+    and nothing is left to optimize.  The LP's optimum is then
+    min(1, w on pos, -w on neg, 1 - max |eta| off the support), and the LP
+    is infeasible exactly when that is negative, reported as -1.0 with no
+    witness, as the LP reports it.
+    """
+    m, n = phi.shape
+    s = np.array([1.0] * len(s_plus) + [-1.0] * len(s_minus))
+    w = np.zeros(m)
+    w[np.concatenate([roles.pos, roles.neg, roles.free])] = np.linalg.solve(h.T, s)
+    eta = phi.T @ w
+    off = np.ones(n, dtype=bool)
+    off[_columns(s_plus, s_minus)] = False
+    t = float(np.concatenate([w[roles.pos], -w[roles.neg],
+                              1.0 - np.abs(eta[off])]).min(initial=1.0))
+    if t < 0.0:
+        return False, None, -1.0
+    return t >= tol.margin_tol, RrspWitness(eta=eta, w=w, margin=t), t
+
+
 def witness_is_valid(phi, witness: RrspWitness, s_plus, s_minus, pos_rows,
                      neg_rows, zero_rows, tol: TolerancePolicy | None = None) -> bool:
     """Recheck a serialized witness by direct substitution.
@@ -409,7 +441,11 @@ def _membership_margin(phi: np.ndarray, meas: SignMeasurement, s_plus,
     The signs refute a support before any LP is built: when some signed
     row of y_i phi_iS s has no positive entry, z >= 0 caps that row at 0,
     and z = 0, t = 0 is feasible, so the optimum is t = 0 exactly and the
-    zero signal is returned as the witness.  Every other support is
+    zero signal is returned as the witness.  A one-column support {j} the
+    signs leave needs no LP either: a zero row with phi_ij != 0 forces
+    z = 0 (margin 0, zero witness); otherwise every signed row reads
+    c_i z with c_i = y_i phi_ij s > 0, so t = min(1, min c_i) z is largest
+    at z = 1, the one optimum, with witness s e_j.  Every other support is
     decided by the LP.  Columns must be distinct and lie in [0, n).
     """
     m, n = phi.shape
@@ -429,8 +465,13 @@ def _membership_margin(phi: np.ndarray, meas: SignMeasurement, s_plus,
     signed = meas.j_plus.size + meas.j_minus.size
     block = phi[np.ix_(rows, support)] * s
     block[:signed] *= meas.y[rows[:signed], None]
-    if _refuted(block[:signed]):
+    if _refuted(block[:signed]) or (k == 1 and block[signed:].any()):
         return lp.MarginCertificate(t_star=0.0, witness=np.zeros(n))
+    if k == 1:
+        x = np.zeros(n)
+        x[support] = s
+        return lp.MarginCertificate(t_star=float(block[:signed].min(initial=1.0)),
+                                    witness=x)
 
     a = np.zeros((m + 2 * k, k))
     a[:k] = np.eye(k)
@@ -456,8 +497,10 @@ def membership_P(phi, y, s_plus, s_minus,
     satisfiable with a common margin of at least margin_tol after capping
     the signal's sup norm at 1.  A support whose columns all push some
     signed row the wrong way (or not at all) is refuted from the signs
-    alone, without an LP.  Raises ValueError when y does not have one row
-    per row of phi, or a column repeats or lies outside [0, n).
+    alone, and a one-column support is answered in closed form, both
+    without an LP and with the LP's exact optimum.  Raises ValueError when
+    y does not have one row per row of phi, or a column repeats or lies
+    outside [0, n).
     """
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
@@ -562,11 +605,17 @@ def _mirror_memo(twins: dict, key: tuple, compute):
 def _pair_test(phi: np.ndarray, meas: SignMeasurement, sp, sm, pair: TPair,
                tol: TolerancePolicy) -> tuple[bool, float] | None:
     """(holds, margin) of the witness LP under one restriction pair, or None
-    when the kept rows lose column rank and the LP is skipped."""
+    when the kept rows lose column rank and the LP is skipped.  A square
+    kept stack of full rank fixes the witness, so its margin is read off
+    the one solution of H.T w = s (_square_witness_margin) instead."""
     roles = _row_roles(meas, pair.t1, pair.t2)
-    if column_rank(_kept_stack(phi, roles, sp, sm), tol) < len(sp) + len(sm):
+    h = _kept_stack(phi, roles, sp, sm)
+    if column_rank(h, tol) < h.shape[1]:
         return None
-    holds, _, margin = _sign_witness_margin(phi, sp, sm, roles, tol)
+    if h.shape[0] == h.shape[1]:
+        holds, _, margin = _square_witness_margin(phi, h, sp, sm, roles, tol)
+    else:
+        holds, _, margin = _sign_witness_margin(phi, sp, sm, roles, tol)
     return holds, margin
 
 
@@ -683,7 +732,8 @@ def rrsp_order_k(phi, k: int, variant: str,
     one measurement and pair with a witness.  The measurements that can
     carry each pattern come from one exact face walk per support of size
     k, so no k-sparse measurement is missed; each is confirmed by the
-    membership margin LP when its pattern is reached.  The sufficient
+    membership margin of _membership_margin when its pattern is reached,
+    which at k = 1 is its closed form and needs no LP.  The sufficient
     evidence is that of rrsp_wrt_y's sufficient variant, taken over every
     (pattern, carrier) in turn, with y the carrier.  The necessary evidence
     is the first holding pair of each pattern when it holds, and otherwise

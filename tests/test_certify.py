@@ -17,9 +17,14 @@ from onebitcs.certify import (
     RrspEvidence,
     RrspWitness,
     TPair,
+    _kept_stack,
     _membership_margin,
     _pair_evidence,
+    _row_roles,
+    _sign_witness_margin,
     _signed_patterns,
+    _square_witness_margin,
+    _tpairs,
     membership_P,
     pattern_witness,
     patterns_of_measurement,
@@ -404,9 +409,10 @@ class TestMembershipAndPatterns:
                 fn(PHI, Y, s_plus, s_minus)
 
 
-def _lp_only_membership_margin(phi, meas, s_plus, s_minus) -> float:
-    """t_star of the membership margin LP, always solved: the reference
-    for the sign refutation in _membership_margin."""
+def _lp_only_membership_margin(phi, meas, s_plus, s_minus) -> lp.MarginCertificate:
+    """The membership margin LP over the support columns, always solved:
+    the reference for the sign refutation and the one-column closed form
+    in _membership_margin."""
     m, n = phi.shape
     support = np.array(list(s_plus) + list(s_minus), dtype=int)
     s = np.array([1.0] * len(s_plus) + [-1.0] * len(s_minus))
@@ -422,7 +428,7 @@ def _lp_only_membership_margin(phi, meas, s_plus, s_minus) -> float:
     b = np.zeros(m + 2 * k)
     b[k + m:] = 1.0
     return lp.max_margin_feasibility(a, rels, b, range(k + signed),
-                                     free=np.zeros(k, dtype=bool)).t_star
+                                     free=np.zeros(k, dtype=bool))
 
 
 def _lp_only_l0_min(phi, meas, k_max):
@@ -490,7 +496,7 @@ class TestSignRefutation:
                 solves.clear()
                 t_star = _membership_margin(phi, meas, sp, sm).t_star
                 refuted += not solves
-                ref = _lp_only_membership_margin(phi, meas, sp, sm)
+                ref = _lp_only_membership_margin(phi, meas, sp, sm).t_star
                 assert abs(t_star - ref) <= 1e-9
                 assert (t_star >= tol) == (ref >= tol)
                 assert membership_P(phi, meas, sp, sm) == (ref >= tol)
@@ -533,6 +539,102 @@ class TestSignRefutation:
         # Only {0, 1} and {1, 2} reach the LP: every other support of size
         # at most 2 leaves row 0 or row 1 without a nonzero entry.
         assert len(solves) == 2
+
+
+class TestClosedForms:
+    """The two margin questions with nothing left to optimize are answered
+    without an LP, and agree with the LP they replace."""
+
+    def test_one_column_membership_matches_its_lp(self, monkeypatch):
+        solves = TestSignRefutation._count_solves(monkeypatch)
+        tol = DEFAULT_TOLERANCES.margin_tol
+        kinds = dict.fromkeys(("zero row", "capped", "fractional"), 0)
+        for phi, meas in _refutation_cases():
+            for j in range(phi.shape[1]):
+                for sign in (1.0, -1.0):
+                    pattern = ((j,), ()) if sign > 0 else ((), (j,))
+                    solves.clear()
+                    cert = _membership_margin(phi, meas, *pattern)
+                    assert solves == []
+                    ref = _lp_only_membership_margin(phi, meas, *pattern)
+                    x = np.zeros(phi.shape[1])
+                    x[j] = sign * ref.witness[0]
+                    assert abs(cert.t_star - ref.t_star) <= 1e-12
+                    np.testing.assert_allclose(cert.witness, x, rtol=0, atol=1e-12)
+                    assert (cert.t_star >= tol) == (ref.t_star >= tol)
+                    assert membership_P(phi, meas, *pattern) == (ref.t_star >= tol)
+                    signed = meas.y != 0
+                    if (meas.y[signed] * phi[signed, j] * sign > 0).all():
+                        if phi[~signed, j].any():
+                            kinds["zero row"] += 1
+                        elif cert.t_star == 1.0:
+                            kinds["capped"] += 1
+                        else:
+                            kinds["fractional"] += 1
+        assert min(kinds.values()) >= 10, kinds
+
+    def test_square_stack_witness_matches_its_lp(self):
+        """Every full-rank restriction pair whose kept stack is square, over
+        patterns of size at most 2, and a hand-made 1x2 instance whose
+        pattern {0} has the margin 2^-27, in (0, margin_tol)."""
+        tol = DEFAULT_TOLERANCES
+        tiny = np.array([[1.0, 1.0 - 2.0 ** -27]])
+        cases = [(phi, meas, _signed_patterns(phi.shape[1], 2))
+                 for phi, meas in _refutation_cases()]
+        cases.append((tiny, SignMeasurement.from_y([1]), [((0,), ())]))
+        margins = []
+        for phi, meas, patterns in cases:
+            for sp, sm in patterns:
+                for pair in _tpairs(meas):
+                    roles = _row_roles(meas, pair.t1, pair.t2)
+                    h = _kept_stack(phi, roles, sp, sm)
+                    if h.shape[0] != h.shape[1] or column_rank(h) < h.shape[1]:
+                        continue
+                    holds, witness, margin = _square_witness_margin(phi, h, sp, sm, roles, tol)
+                    ref_holds, ref_witness, ref_margin = _sign_witness_margin(
+                        phi, sp, sm, roles, tol)
+                    assert holds == ref_holds
+                    assert math.isclose(margin, ref_margin, rel_tol=1e-12)
+                    assert (witness is None) == (ref_witness is None)
+                    if witness is not None:
+                        np.testing.assert_allclose(witness.w, ref_witness.w, atol=1e-9)
+                        assert witness_is_valid(phi, witness, sp, sm, roles.pos,
+                                                roles.neg, roles.pinned)
+                    margins.append(margin)
+        assert margins.count(1.0) >= 1
+        assert margins.count(-1.0) >= 1
+        assert any(0.0 < t < tol.margin_tol for t in margins)
+        # Pattern {1} of the same instance needs eta_0 = 1 / (1 - 2^-27) > 1
+        # off its support, so no witness exists.  The LP accepts a point
+        # breaking |eta_0| <= 1 by 7.5e-9 within its feasibility tolerance
+        # and reads 0.0; the closed form reads -1.0.
+        roles = _row_roles(SignMeasurement.from_y([1]), (), ())
+        h = _kept_stack(tiny, roles, (1,), ())
+        assert _square_witness_margin(tiny, h, (1,), (), roles, tol) == (False, None, -1.0)
+
+    def test_closed_forms_skip_their_lps(self, monkeypatch):
+        """Each one-column membership and each square kept stack costs no
+        LP.  On eye(3) at k = 1 the three membership LPs go and the three
+        witness LPs (tall stacks) stay; on the seeded 3x3 below, the pair
+        stream of one two-column pattern has four full-rank pairs, three of
+        them square, and solves one LP."""
+        calls = []
+        real = lp.max_margin_feasibility
+        monkeypatch.setattr(lp, "max_margin_feasibility",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        assert rrsp_order_k(np.eye(3), 1, SUFFICIENT)[0]
+        assert len(calls) == 3
+
+        rng = np.random.default_rng(1406)
+        phi = rng.normal(size=(3, 3))
+        meas = SignMeasurement.from_y(sign_standard(phi @ rng.normal(size=3)))
+        calls.clear()
+        evidence = list(_pair_evidence(phi, meas, (0,), (1,), DEFAULT_TOLERANCES, {}))
+        kept = [meas.j_plus.size - len(ev.tpair.t1) + meas.j_minus.size
+                - len(ev.tpair.t2) + meas.j_zero.size for ev in evidence]
+        square = kept.count(2)
+        assert (len(evidence), square) == (4, 3)
+        assert len(calls) == len(evidence) - square
 
 
 def _row_sparse(rng, m: int, n: int) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Package LPs against formulations solved by HiGHS.
 
-The membership LP runs over the support columns only, and l0_min over the
-columns of each candidate support.  Both must give the optimum of the full
-formulation, which HiGHS (scipy.optimize.linprog) solves independently of
-the package's simplex.  The sign-cone relaxation must reach the HiGHS
+The membership LP runs over the support columns only (a one-column
+support is answered in closed form), and l0_min over the columns of each
+candidate support.  Both must give the optimum of the full formulation,
+which HiGHS (scipy.optimize.linprog) solves independently of the package's
+simplex.  The sign-cone relaxation must reach the HiGHS
 optimum of the same p - q program on seeded experiment instances.
 """
 
@@ -92,7 +93,7 @@ def full_l0(phi, y):
 
 def test_membership_and_l0_agree_with_highs():
     rng = np.random.default_rng(20141218)
-    row_sparse_with_zeros = 0
+    row_sparse_with_zeros = one_column = 0
     for _ in range(INSTANCES):
         phi, y = instance(rng)
         meas = SignMeasurement.from_y(y)
@@ -106,6 +107,10 @@ def test_membership_and_l0_agree_with_highs():
             sp = tuple(j for j, s in zip(supp, signs) if s == 1)
             sm = tuple(j for j, s in zip(supp, signs) if s == -1)
             cert = _membership_margin(phi, meas, sp, sm)
+            # One-column supports the signs do not refute take the closed form.
+            signed = y != 0
+            one_column += len(supp) == 1 and bool(np.all(
+                y[signed] * phi[signed, supp[0]] * signs[0] > 0))
             assert cert.t_star == pytest.approx(full_membership_t(phi, y, sp, sm), abs=1e-9)
             x = cert.witness
             assert np.all(x[list(sp)] >= cert.t_star - 1e-9)
@@ -113,6 +118,7 @@ def test_membership_and_l0_agree_with_highs():
             assert np.count_nonzero(x) <= len(supp)
         assert l0_min(phi, y).value == full_l0(phi, y)
     assert row_sparse_with_zeros >= 5
+    assert one_column >= 10
 
 
 # (experiment seed, k, trial) at 20 x 40: a seeded grid, plus four trials
