@@ -63,20 +63,6 @@ ORDER_K_MAX_SHAPE = {0: (8, 8), 1: (8, 8), 2: (8, 8), 3: (6, 6)}
 
 
 @dataclass(frozen=True, eq=False)
-class CertMatrix:
-    """Boundary submatrix used in the rank half of the uniqueness test.
-
-    Rows: matrix rows active at the signal (positive rows first, then
-    negative, then the zero-measurement rows).  Columns: positive support
-    then negative support.  Labels carry the original indices.
-    """
-
-    h: np.ndarray
-    row_labels: tuple[tuple[str, int], ...]
-    col_labels: tuple[tuple[str, int], ...]
-
-
-@dataclass(frozen=True, eq=False)
 class RrspWitness:
     """A dual certificate: w in measurement space, eta = phi.T @ w.
 
@@ -102,12 +88,15 @@ class TPair:
     t2: tuple[int, ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class CertReport:
     """Uniqueness certificate at a specific feasible signal.
 
     witness_rows holds the (pos, neg, pinned) row lists the witness was
-    built for, in the argument order of witness_is_valid.
+    built for, in the argument order of witness_is_valid.  h is the
+    boundary submatrix of the rank test: rows witness_rows[0], then
+    witness_rows[1], then the measurement's j_zero; columns s_plus, then
+    s_minus.
     """
 
     unique: bool
@@ -116,7 +105,7 @@ class CertReport:
     rrsp_holds: bool
     margin: float
     witness: RrspWitness | None
-    cert_matrix: CertMatrix
+    h: np.ndarray
     active: ActiveSets
     s_plus: tuple[int, ...]
     s_minus: tuple[int, ...]
@@ -291,11 +280,12 @@ def uniqueness_certificate(phi, y, x,
     exists and the boundary submatrix has full column rank: the
     restriction-pair test of the sweeps at the point's own pair.
 
-    cert_matrix is that boundary submatrix H: the active rows of j_plus,
-    the active rows of j_minus, then all of j_zero, on the positive then
-    negative support of x; h_rank is its rank.  rrsp_holds, margin and
-    witness are the pointwise RRSP test: the best-margin dual witness that
-    is strictly signed on the active rows, zero on the inactive signed rows
+    h is that boundary submatrix H: rows witness_rows[0] (the active rows
+    of j_plus), then witness_rows[1] (the active rows of j_minus), then
+    j_zero; columns s_plus, then s_minus (the positive, then negative
+    support of x).  h_rank is its rank.  rrsp_holds, margin and witness
+    are the pointwise RRSP test: the best-margin dual witness that is
+    strictly signed on the active rows, zero on the inactive signed rows
     and free on j_zero.
     """
     pol = tol or DEFAULT_TOLERANCES
@@ -306,19 +296,14 @@ def uniqueness_certificate(phi, y, x,
     acts = active_sets(phi, x, meas, pol)
     # The point's own restriction pair pins the inactive signed rows.
     roles = _row_roles(meas, acts.inactive_plus, acts.inactive_minus)
-    cm = CertMatrix(
-        h=_kept_stack(phi, roles, sp, sm),
-        row_labels=tuple([("plus_active", int(i)) for i in roles.pos]
-                         + [("minus_active", int(i)) for i in roles.neg]
-                         + [("zero", int(i)) for i in roles.free]),
-        col_labels=tuple([("plus", int(j)) for j in sp] + [("minus", int(j)) for j in sm]))
-    rank = column_rank(cm.h, pol)
-    h_full = rank == cm.h.shape[1]
+    h = _kept_stack(phi, roles, sp, sm)
+    rank = column_rank(h, pol)
+    h_full = rank == h.shape[1]
     holds, witness, margin = _sign_witness_margin(phi, sp, sm, roles, pol)
     notes = []
     if not h_full:
         notes.append(
-            f"boundary submatrix rank {rank} < {cm.h.shape[1]} columns")
+            f"boundary submatrix rank {rank} < {h.shape[1]} columns")
     if not holds:
         notes.append(f"dual witness margin {margin:.3g} below "
                      f"{pol.margin_tol:.3g}")
@@ -329,7 +314,7 @@ def uniqueness_certificate(phi, y, x,
         rrsp_holds=bool(holds),
         margin=float(margin),
         witness=witness,
-        cert_matrix=cm,
+        h=h,
         active=acts,
         s_plus=tuple(int(j) for j in sp),
         s_minus=tuple(int(j) for j in sm),

@@ -246,7 +246,7 @@ def _cmd_experiment(args: argparse.Namespace, pol, phi, y) -> int:
 
 
 def _cmd_repro(args: argparse.Namespace, pol, phi, y) -> int:
-    report = repro_example(pol, matrix=phi, y=y)
+    report = repro_example(pol)
     print(report.table())
     if args.out:
         payload = {
@@ -327,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro-example", parents=[out, tol],
                        help="run the built-in counterexample audit")
-    p.add_argument("--matrix", help="override the built-in matrix")
-    p.add_argument("--y", help="override the built-in measurement")
     p.set_defaults(func=_cmd_repro)
 
     return parser

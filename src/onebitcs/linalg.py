@@ -115,21 +115,6 @@ def column_rank(m, tol: TolerancePolicy | None = None) -> int:
     return rank
 
 
-def rank_profile(m, tol: TolerancePolicy | None = None) -> tuple[int, np.ndarray]:
-    """Rank together with the magnitudes of the accepted pivots.
-
-    Useful for auditing near-threshold rank decisions: a pivot magnitude
-    close to rank_tol * max|m| marks a fragile verdict.
-    """
-    a = as_matrix(m)
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return 0, np.zeros(0)
-    pol = tol or DEFAULT_TOLERANCES
-    thr = _pivot_threshold(a, pol.rank_tol)
-    rank, _, mags, _ = _row_reduce(a, thr)
-    return rank, np.array(mags, dtype=float)
-
-
 def null_space_basis(m, tol: TolerancePolicy | None = None) -> np.ndarray:
     """Orthonormal basis of the null space of `m`, shape (cols, cols - rank).
 
@@ -187,11 +172,14 @@ def _face_signs(a: np.ndarray) -> np.ndarray:
     lies in a hyperplane or borders one, so the walk misses none.  A flat
     reached along several hyperplane paths is walked once per call: it is
     keyed by the rows of a that vanish on it, whose hyperplanes intersect
-    in exactly that flat.  A line is the base case: its faces are the
-    origin and two rays, so its points are 0, v and -v, with v its basis
-    column oriented by the first row that cuts it.  These are the points
-    the general step reaches there (from the origin no hyperplane is
-    crossed, so eps is 1), without forming its basis or step.
+    in exactly that flat.  The key of h's flat is known before its basis:
+    the rows that vanish on the current flat and those parallel to h
+    there, so only a flat reached for the first time forms a basis.  A
+    line is the base case: its faces are the origin and two rays, so its
+    points are 0, v and -v, with v its basis column oriented by the first
+    row that cuts it.  These are the points the general step reaches there
+    (from the origin no hyperplane is crossed, so eps is 1), without
+    forming its basis or step.
     """
     d = a.shape[1]
     norms = np.linalg.norm(a, axis=1)
@@ -209,7 +197,8 @@ def _face_signs(a: np.ndarray) -> np.ndarray:
         origin = np.zeros((1, d))
         if not q.shape[1]:
             return origin
-        u = b[cutting(b)]
+        cut = cutting(b)
+        u = b[cut]
         if q.shape[1] == 1:
             if not u.size:
                 return origin
@@ -218,15 +207,17 @@ def _face_signs(a: np.ndarray) -> np.ndarray:
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         # A row repeats an earlier hyperplane when it is parallel to it.
         resid = np.linalg.norm(u[:, None] - (u @ u.T)[..., None] * u[None], axis=2)
+        parallel = resid <= _FACE_ZERO
         points = [origin]
-        for w in u[~np.tril(resid <= _FACE_ZERO, -1).any(axis=1)]:
-            normal = q @ w
-            sub = q @ np.linalg.qr(w[:, None], mode="complete")[0][:, 1:]
-            b_sub = a @ sub
-            key = cutting(b_sub).tobytes()
+        for h in np.flatnonzero(~np.tril(parallel, -1).any(axis=1)):
+            vanish = ~cut
+            vanish[cut] = parallel[h]
+            key = vanish.tobytes()
             if key not in walked:
-                walked[key] = walk(sub, b_sub)
+                sub = q @ np.linalg.qr(u[h, :, None], mode="complete")[0][:, 1:]
+                walked[key] = walk(sub, a @ sub)
             p = walked[key]
+            normal = q @ u[h]
             step = np.abs(a @ normal)
             cross = (signs(p) != 0) & (step > _FACE_ZERO * norms)
             ratio = np.abs(p @ a.T) / np.where(cross, step, 1.0)

@@ -65,14 +65,14 @@ def _feasible(x: np.ndarray, a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.
     return ok.all(axis=1)
 
 
-def _vertex_sweep(a, b, s, c_eff, tol, budget):
+def _vertex_sweep(a, b, s, c_eff, tol):
     """Enumerate vertices of the row form (a, b, s) and minimize c_eff.
 
     Every equality row (s_i = 0) is active; the remaining active set runs
     over subsets of the inequality rows, in combinations order, and the
     first candidate beating the best objective by more than 1e-12 wins.
     Returns (feasible, best_x, best_obj).  Raises ValueError when the
-    candidate count exceeds the budget.
+    candidate count exceeds VERTEX_BUDGET.
     """
     n = a.shape[1]
     eq = s == 0
@@ -87,10 +87,10 @@ def _vertex_sweep(a, b, s, c_eff, tol, budget):
     slots = n - eq_a.shape[0]
 
     count = math.comb(g.shape[0], slots)
-    if count > budget:
+    if count > VERTEX_BUDGET:
         raise ValueError(
             f"vertex enumeration needs {count} candidates, beyond the "
-            f"budget of {budget}; instance too large for the oracle")
+            f"budget of {VERTEX_BUDGET}; instance too large for the oracle")
     best_x = None
     best_obj = None
     sets = combinations(range(g.shape[0]), slots)
@@ -118,8 +118,7 @@ def _vertex_sweep(a, b, s, c_eff, tol, budget):
     return True, best_x, best_obj
 
 
-def lp_vertex_oracle(p: lp.LPProblem, budget: int = VERTEX_BUDGET,
-                     tol: TolerancePolicy | None = None) -> lp.LPSolution:
+def lp_vertex_oracle(p: lp.LPProblem, tol: TolerancePolicy | None = None) -> lp.LPSolution:
     """Solve a small LP by exhaustive vertex enumeration.
 
     Vertices are active-constraint subsets of the original mixed form:
@@ -129,6 +128,8 @@ def lp_vertex_oracle(p: lp.LPProblem, budget: int = VERTEX_BUDGET,
     sign precheck cannot certify boundedness, scanning the vertices of the
     recession cone boxed to [-1, 1]^n for a cost-decreasing direction.
     Never consults the simplex; intended as its independent cross-check.
+    Raises ValueError when a sweep needs more than VERTEX_BUDGET candidate
+    active sets (read at call time).
     """
     pol = tol or DEFAULT_TOLERANCES
     n = p.n_vars
@@ -153,14 +154,14 @@ def lp_vertex_oracle(p: lp.LPProblem, budget: int = VERTEX_BUDGET,
         b = np.concatenate([b, np.zeros(lin.shape[1])])
         s = np.concatenate([s, np.zeros(lin.shape[1])])
         if float(np.max(np.abs(cl))) > 1e-9 * (1.0 + float(np.max(np.abs(c_eff), initial=0.0))):
-            feas, _, _ = _vertex_sweep(a, b, s, np.zeros(n), pol, budget)
+            feas, _, _ = _vertex_sweep(a, b, s, np.zeros(n), pol)
             if not feas:
                 return lp.LPSolution(status=lp.INFEASIBLE)
             i_best = int(np.argmax(np.abs(cl)))
             ray = -np.sign(cl[i_best]) * lin[:, i_best]
             return lp.LPSolution(status=lp.UNBOUNDED, ray=ray)
 
-    feas, x_best, _ = _vertex_sweep(a, b, s, c_eff, pol, budget)
+    feas, x_best, _ = _vertex_sweep(a, b, s, c_eff, pol)
     if not feas:
         return lp.LPSolution(status=lp.INFEASIBLE)
 
@@ -173,7 +174,7 @@ def lp_vertex_oracle(p: lp.LPProblem, budget: int = VERTEX_BUDGET,
         cone_a = np.vstack([a, np.repeat(np.eye(n), 2, axis=0)])
         cone_b = np.concatenate([np.zeros(a.shape[0]), np.tile([1.0, -1.0], n)])
         cone_s = np.concatenate([s, np.tile([-1.0, 1.0], n)])
-        feas_cone, d_best, d_obj = _vertex_sweep(cone_a, cone_b, cone_s, c_eff, pol, budget)
+        feas_cone, d_best, d_obj = _vertex_sweep(cone_a, cone_b, cone_s, c_eff, pol)
         if feas_cone and d_obj < -1e-9 * (1.0 + float(np.max(np.abs(c_eff)))):
             return lp.LPSolution(status=lp.UNBOUNDED, primal=x_best, ray=d_best)
 

@@ -57,59 +57,54 @@ class ReproReport:
         return "\n".join(lines)
 
 
-def repro_example(tol: TolerancePolicy | None = None,
-                  matrix=None, y=None) -> ReproReport:
-    """Run the audit; matrix/y default to the built-in counterexample.
+def repro_example(tol: TolerancePolicy | None = None) -> ReproReport:
+    """Run the audit on the built-in counterexample.
 
     The integer checks use exact arithmetic; the LP-backed checks use the
-    supplied tolerance policy.  Overriding the matrix or measurement runs
-    the same battery on the replacement instance (the integer checks are
-    skipped unless the built-ins are in force).
+    supplied tolerance policy.  To audit another instance, run
+    relaxation_consistency in both nonstandard modes and one_bit_bp on it.
     """
     pol = tol or DEFAULT_TOLERANCES
-    builtin = matrix is None and y is None
-    phi = np.array(COUNTEREXAMPLE_MATRIX if matrix is None else matrix, dtype=float)
-    meas = SignMeasurement.from_y(np.array(COUNTEREXAMPLE_Y if y is None else y, dtype=int))
+    phi_int = np.array(COUNTEREXAMPLE_MATRIX)
+    y_int = np.array(COUNTEREXAMPLE_Y)
+    phi = phi_int.astype(float)
+    meas = SignMeasurement.from_y(y_int)
+    y_list = y_int.tolist()
     checks: list[CheckResult] = []
     notes: list[str] = []
 
-    if builtin:
-        phi_int = np.array(COUNTEREXAMPLE_MATRIX)
-        y_int = np.array(COUNTEREXAMPLE_Y)
-        y_list = y_int.tolist()
-
-        for alpha in (1, 2):
-            xt = (alpha, alpha, 0, 0)
-            v = phi_int @ xt
-            std = np.sign(v).tolist()
-            nonstd = np.where(v >= 0, 1, -1).tolist()
-            checks.append(CheckResult(
-                name=f"relaxation point alpha={alpha}",
-                passed=bool(np.all(y_int * v >= 0)) and std != y_list and nonstd != y_list,
-                detail=(f"x={xt}: in sign cone, standard sign {std} != {y_list}, "
-                        f"nonstandard sign {nonstd} != {y_list}"),
-            ))
-
-        # A cone direction that zeroes a row measured -1 breaks the
-        # nonstandard criterion on x when d != 0, and the one on phi@x
-        # when phi@d != 0.
-        d = (1, 1, 0, 0)
-        vd = phi_int @ d
+    for alpha in (1, 2):
+        xt = (alpha, alpha, 0, 0)
+        v = phi_int @ xt
+        std = np.sign(v).tolist()
+        nonstd = np.where(v >= 0, 1, -1).tolist()
         checks.append(CheckResult(
-            name="integer witness d",
-            passed=bool(np.all(y_int * vd >= 0) and np.any(vd[y_int == -1] == 0)
-                        and np.any(d) and np.any(vd)),
-            detail=f"d={d}: phi@d={tuple(vd.tolist())} breaks both nonstandard criteria",
+            name=f"relaxation point alpha={alpha}",
+            passed=bool(np.all(y_int * v >= 0)) and std != y_list and nonstd != y_list,
+            detail=(f"x={xt}: in sign cone, standard sign {std} != {y_list}, "
+                    f"nonstandard sign {nonstd} != {y_list}"),
         ))
 
-        x2 = (2, 2, 0, 0)
-        v2 = phi_int @ x2
-        norm1 = int(np.abs(v2).sum())
-        checks.append(CheckResult(
-            name="relaxation normalization",
-            passed=bool(np.all(y_int * v2 >= 0)) and norm1 == y_int.size,
-            detail=f"x={x2} satisfies the cone with |phi@x|_1 = {norm1} = m",
-        ))
+    # A cone direction that zeroes a row measured -1 breaks the
+    # nonstandard criterion on x when d != 0, and the one on phi@x
+    # when phi@d != 0.
+    d = (1, 1, 0, 0)
+    vd = phi_int @ d
+    checks.append(CheckResult(
+        name="integer witness d",
+        passed=bool(np.all(y_int * vd >= 0) and np.any(vd[y_int == -1] == 0)
+                    and np.any(d) and np.any(vd)),
+        detail=f"d={d}: phi@d={tuple(vd.tolist())} breaks both nonstandard criteria",
+    ))
+
+    x2 = (2, 2, 0, 0)
+    v2 = phi_int @ x2
+    norm1 = int(np.abs(v2).sum())
+    checks.append(CheckResult(
+        name="relaxation normalization",
+        passed=bool(np.all(y_int * v2 >= 0)) and norm1 == y_int.size,
+        detail=f"x={x2} satisfies the cone with |phi@x|_1 = {norm1} = m",
+    ))
 
     for mode in (NONSTANDARD_X, NONSTANDARD_PHIX):
         holds, violations = relaxation_consistency(phi, meas, mode, pol)
@@ -119,20 +114,12 @@ def repro_example(tol: TolerancePolicy | None = None,
             detail = f"row {i} admits cone direction d={np.round(d_w, 6).tolist()}"
         checks.append(CheckResult(name=f"audit {mode}", passed=not holds, detail=detail))
 
-    # One decoder solve serves the consistency check and, on the built-in
-    # instance, the search of the optimal face for a second optimum.
+    # One decoder solve serves the consistency check and the search of the
+    # optimal face for a second optimum.
     problem, x_of = encode_bp_lp(phi, meas)
     sol = lp.solve(problem)
     x_opt = x_of(sol.primal) if sol.status == lp.OPTIMAL else None
     consistent = x_opt is not None and is_consistent(phi, x_opt, meas, tol=pol)
-    if not builtin:
-        checks.append(CheckResult(
-            name="consistent decoder",
-            passed=x_opt is None or consistent,
-            detail=f"status {sol.status}",
-        ))
-        return ReproReport(checks=checks, alternative=None, margin_notes=notes)
-
     objective = None if x_opt is None else float(np.sum(np.abs(x_opt)))
     checks.append(CheckResult(
         name="consistent decoder",

@@ -21,7 +21,6 @@ from onebitcs.certify import (
 )
 from onebitcs.decoders import encode_bp_lp, one_bit_bp
 from onebitcs.experiment import ExperimentConfig, csv_lines, run_experiment, summary_json
-from onebitcs.linalg import rank_profile
 from onebitcs.oracle import enumerate_P, enumerate_Yk, l0_min, lp_vertex_oracle
 from onebitcs.repro import repro_example
 from onebitcs.signmodel import SignMeasurement, is_consistent, sign_standard, signed_support
@@ -102,7 +101,7 @@ def test_criterion_3_simplex_equals_vertex_oracle_on_random_lps():
     assert optimal >= 30
 
 
-def test_criterion_4_certificate_versus_alternative_optimum_search():
+def test_criterion_4_certificate_versus_alternative_optimum_search(rank_profile):
     """300 seeded decoder instances: the uniqueness certificate and the
     20-restart second-optimum search agree at >= 99%, and any disagreement
     sits within 10x of the margin or rank-pivot tolerance."""
@@ -131,7 +130,7 @@ def test_criterion_4_certificate_versus_alternative_optimum_search():
         if report.unique == (not found_second):
             agree += 1
         else:
-            _, pivots = rank_profile(report.cert_matrix.h)
+            _, pivots = rank_profile(report.h)
             disagreements.append({
                 "instance": done,
                 "unique": report.unique,

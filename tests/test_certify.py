@@ -53,22 +53,40 @@ class TestAssembleH:
     """The boundary submatrix H that uniqueness_certificate assembles."""
 
     def test_flagship_single_active_row(self):
-        cm = uniqueness_certificate(PHI, Y, np.array([1., 0., 0., 0.])).cert_matrix
-        assert cm.h.shape == (1, 1)
-        assert cm.h[0, 0] == -1.0
-        assert cm.row_labels == (("minus_active", 1),)
-        assert cm.col_labels == (("plus", 0),)
+        rep = uniqueness_certificate(PHI, Y, np.array([1., 0., 0., 0.]))
+        assert rep.h.shape == (1, 1)
+        assert rep.h[0, 0] == -1.0
+        assert rep.witness_rows == ((), (1,), (0,))
+        assert rep.s_plus == (0,)
+        assert rep.s_minus == ()
 
     def test_identity_full_boundary(self):
-        cm = uniqueness_certificate(np.eye(2), np.array([1, -1]),
-                                    np.array([1., -1.])).cert_matrix
-        np.testing.assert_array_equal(cm.h, np.eye(2))
+        h = uniqueness_certificate(np.eye(2), np.array([1, -1]), np.array([1., -1.])).h
+        np.testing.assert_array_equal(h, np.eye(2))
 
     def test_interior_point_has_empty_row_set(self):
-        cm = uniqueness_certificate(np.eye(2), np.array([1, -1]),
-                                    np.array([2., -2.])).cert_matrix
-        assert cm.h.shape == (0, 2)
-        assert column_rank(cm.h) == 0
+        h = uniqueness_certificate(np.eye(2), np.array([1, -1]), np.array([2., -2.])).h
+        assert h.shape == (0, 2)
+        assert column_rank(h) == 0
+
+    def test_rows_and_columns_follow_the_report(self):
+        """h is phi on the witness rows then j_zero, by s_plus then s_minus."""
+        rng = np.random.default_rng(18)
+        zero_rows = 0
+        for _ in range(40):
+            phi = rng.normal(size=(5, 4))
+            phi[rng.integers(0, 5), :] = 0.0
+            meas = SignMeasurement.from_y(sign_standard(phi @ rng.normal(size=4)))
+            sol = one_bit_bp(phi, meas)
+            if sol.status != lp.OPTIMAL:
+                continue
+            rep = uniqueness_certificate(phi, meas, sol.x)
+            pos, neg, _ = rep.witness_rows
+            j_zero = meas.j_zero.tolist()
+            zero_rows += len(j_zero)
+            np.testing.assert_array_equal(
+                rep.h, phi[np.ix_(list(pos + neg) + j_zero, list(rep.s_plus + rep.s_minus))])
+        assert zero_rows
 
 
 class TestRrspAt:
@@ -167,13 +185,12 @@ class TestUniquenessCertificate:
 
 
 class TestEmpiricalUniquenessAgreement:
-    def test_certificate_tracks_alternative_search(self):
+    def test_certificate_tracks_alternative_search(self, rank_profile):
         """Certificate verdict versus the 20-restart second-optimum hunt.
 
         A short version of the full acceptance sweep: every disagreement
         must sit in the tolerance band (margin or rank pivot within 10x)."""
         from onebitcs.decoders import encode_bp_lp
-        from onebitcs.linalg import rank_profile
 
         rng = np.random.default_rng(42)
         agree = disagree = 0
@@ -198,7 +215,7 @@ class TestEmpiricalUniquenessAgreement:
             else:
                 disagree += 1
                 near_margin = abs(rep.margin) <= 10 * 1e-8
-                _, pivots = rank_profile(rep.cert_matrix.h)
+                _, pivots = rank_profile(rep.h)
                 near_rank = pivots.size and pivots.min() <= 10 * 1e-9
                 assert near_margin or near_rank
         assert agree >= 30

@@ -228,27 +228,14 @@ def test_repro_example_passes(capsys):
     assert "FAIL" not in out
 
 
-@pytest.mark.parametrize("override", [["--matrix", "EYE", "--y", "Y"], ["--y", "Y"]],
-                         ids=["matrix-and-y", "y-only"])
-def test_repro_example_override(flagship_files, tmp_path, capsys, override):
-    """A replacement instance runs the two audits and the decoder check only."""
-    eye = tmp_path / "eye.txt"
-    eye.write_text("2 2\n1 0\n0 1\n")
-    out = tmp_path / "repro.json"
-    _, yvec = flagship_files
-    subst = {"EYE": str(eye), "Y": yvec}
-    argv = ["repro-example", "--out", str(out)] + [subst.get(a, a) for a in override]
-    assert main(argv) == 0
-    names = ["audit nonstandard_x", "audit nonstandard_phix", "consistent decoder"]
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == ["PASS"] * 3
-    assert [line.split("  ")[1].strip() for line in lines] == names
-    payload = json.loads(out.read_text())
-    assert payload["passed"] is True
-    assert payload["alternative"] is None
-    assert payload["notes"] == []
-    assert [c["name"] for c in payload["checks"]] == names
-    assert all(c["passed"] for c in payload["checks"])
+@pytest.mark.parametrize("flag", ["--matrix", "--y"])
+def test_repro_example_rejects_instance_flags(flagship_files, capsys, flag):
+    """The audit runs the built-in counterexample only; audit-relaxation
+    and decode take an instance."""
+    with pytest.raises(SystemExit) as exc:
+        main(["repro-example", flag, flagship_files[0]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -9,7 +9,6 @@ from onebitcs.linalg import (
     TolerancePolicy,
     column_rank,
     null_space_basis,
-    rank_profile,
 )
 
 int_matrix = st.integers(min_value=1, max_value=5).flatmap(
@@ -79,7 +78,7 @@ def test_stack_rank_dominates_blocks():
         assert column_rank(stacked) >= max(column_rank(a), column_rank(b))
 
 
-def test_rank_profile_reports_pivots():
+def test_rank_profile_reports_pivots(rank_profile):
     rank, pivots = rank_profile(np.array([[2., 0.], [0., 1e-12]]))
     assert rank == 1
     assert len(pivots) == 1

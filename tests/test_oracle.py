@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from onebitcs import lp
+from onebitcs import lp, oracle
 from onebitcs.certify import membership_P, uniqueness_certificate
 from onebitcs.decoders import encode_bp_lp, one_bit_bp
 from onebitcs.linalg import _face_signs, column_rank
@@ -55,12 +55,13 @@ class TestVertexOracle:
         s = lp_vertex_oracle(p)
         assert s.status == lp.INFEASIBLE
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
+        monkeypatch.setattr(oracle, "VERTEX_BUDGET", 10)
         rng = np.random.default_rng(0)
         rows = [(rng.normal(size=30), "<=", 1.0) for _ in range(40)]
         p = lp.LPProblem.from_rows(rng.normal(size=30), rows)
         with pytest.raises(ValueError):
-            lp_vertex_oracle(p, budget=10)
+            lp_vertex_oracle(p)
 
 
 class TestSparsestOracle:
@@ -177,14 +178,14 @@ class TestYkEnumeration:
 
     def test_walk_reaches_each_flat_once(self, monkeypatch):
         """9 generic planes in R^3 meet in 36 lines and the origin.  The walk
-        forms one basis per (plane or space, hyperplane of it): 9 planes and
-        9 * 8 lines, not one per path.  A line is the base case and forms
-        none for its origin."""
+        forms one basis per flat it reaches, 9 planes and 36 lines, not one
+        per path: a flat's key is read before its basis.  A line is the base
+        case and forms none for its origin."""
         a = np.vstack([np.random.default_rng(7).normal(size=(6, 3)), np.eye(3)])
         qr, bases = np.linalg.qr, []
         monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: bases.append(1) or qr(*args, **kw))
         signs = _face_signs(a)
-        assert len(bases) == 9 + 9 * 8
+        assert len(bases) == 9 + 36
         assert len({row.tobytes() for row in signs}) == len(signs) == _generic_face_count(9, 3)
 
     def test_dense_k3_contains_zero_entries_and_every_sample(self):
@@ -277,8 +278,8 @@ class TestAugmentationWalk:
                 trace = active_set_augmentation(phi, y, x)
                 assert not trace.support_shrunk
                 assert trace.stack_full_rank
-                cm = uniqueness_certificate(phi, meas, trace.final_x).cert_matrix
-                assert column_rank(cm.h) == cm.h.shape[1]
+                h = uniqueness_certificate(phi, meas, trace.final_x).h
+                assert column_rank(h) == h.shape[1]
                 verified += 1
         assert verified >= 10
 
