@@ -144,12 +144,10 @@ class _Roles(NamedTuple):
 
 
 def _row_roles(meas: SignMeasurement, t1, t2) -> _Roles:
-    pinned = np.zeros(meas.m, dtype=bool)
-    for t in (t1, t2):
-        pinned[np.asarray(t, dtype=int)] = True
-    return _Roles(pos=meas.j_plus[~pinned[meas.j_plus]],
-                  neg=meas.j_minus[~pinned[meas.j_minus]],
-                  pinned=np.flatnonzero(pinned), free=meas.j_zero)
+    pinned = {int(i) for t in (t1, t2) for i in t}
+    return _Roles(pos=np.array([i for i in meas.j_plus.tolist() if i not in pinned], dtype=int),
+                  neg=np.array([i for i in meas.j_minus.tolist() if i not in pinned], dtype=int),
+                  pinned=np.array(sorted(pinned), dtype=int), free=meas.j_zero)
 
 
 def _columns(s_plus, s_minus) -> np.ndarray:
@@ -160,7 +158,7 @@ def _kept_stack(phi: np.ndarray, roles: _Roles, s_plus, s_minus) -> np.ndarray:
     """Rows that keep a witness role (pos, neg, then free) on the columns
     s_plus then s_minus: the matrix whose full column rank the test needs."""
     rows = np.concatenate([roles.pos, roles.neg, roles.free])
-    return phi[np.ix_(rows, _columns(s_plus, s_minus))]
+    return phi[rows[:, None], _columns(s_plus, s_minus)]
 
 
 def _sign_witness_margin(phi: np.ndarray, s_plus, s_minus, roles: _Roles,
@@ -174,31 +172,28 @@ def _sign_witness_margin(phi: np.ndarray, s_plus, s_minus, roles: _Roles,
     the other entries of w only and scatters them back.
     """
     m, n = phi.shape
-    support = _columns(s_plus, s_minus)
-    if support.size == 0:
+    support = list(s_plus) + list(s_minus)
+    if not support:
         raise ValueError("dual-witness test needs a nonzero signal")
-    unpinned = np.ones(m, dtype=bool)
-    unpinned[roles.pinned] = False
-    keep = np.flatnonzero(unpinned)
-    slot = np.full(m, -1)
-    slot[keep] = np.arange(keep.size)
-    eta_rows = phi[keep].T
-    on = np.zeros(n, dtype=bool)
-    on[support] = True
-    off = np.flatnonzero(~on)
-    pos = slot[roles.pos]
-    neg = slot[roles.neg]
-    ns, no = support.size, 2 * off.size
-    r = ns + no + pos.size + neg.size
+    pinned = set(roles.pinned.tolist())
+    keep = [i for i in range(m) if i not in pinned]
+    slot = {i: k for k, i in enumerate(keep)}
+    on = set(support)
+    off = [j for j in range(n) if j not in on]
+    signed = [slot[i] for i in roles.pos.tolist() + roles.neg.tolist()]
+    ns, no = len(support), 2 * len(off)
+    r = ns + no + len(signed)
 
-    a = np.zeros((r, keep.size))
-    a[:ns] = eta_rows[support]
-    a[ns:ns + no] = np.repeat(eta_rows[off], 2, axis=0)
-    a[np.arange(ns + no, r), np.concatenate([pos, neg])] = 1.0
-    rels = ("=",) * ns + ("<=", ">=") * off.size + (">=",) * pos.size + ("<=",) * neg.size
-    b = np.zeros(r)
-    b[:ns] = [1.0] * len(s_plus) + [-1.0] * len(s_minus)
-    b[ns:ns + no] = np.tile([1.0, -1.0], off.size)
+    # Rows over the kept entries of w: eta_S = s, then eta_j <= 1 and
+    # eta_j >= -1 for each column j off the support, then the signs of w
+    # on roles.pos and roles.neg.
+    a = np.zeros((r, len(keep)))
+    a[:ns + no] = phi[keep][:, support + [j for j in off for _ in (0, 1)]].T
+    a[range(ns + no, r), signed] = 1.0
+    rels = (("=",) * ns + ("<=", ">=") * len(off)
+            + (">=",) * roles.pos.size + ("<=",) * roles.neg.size)
+    b = np.array([1.0] * len(s_plus) + [-1.0] * len(s_minus) + [1.0, -1.0] * len(off)
+                 + [0.0] * len(signed))
 
     cert = lp.max_margin_feasibility(a, rels, b, range(ns, r))
     if cert.witness is None:
@@ -448,7 +443,7 @@ def _membership_margin(phi: np.ndarray, meas: SignMeasurement, s_plus,
     k = support.size
     rows = np.concatenate([meas.j_plus, meas.j_minus, meas.j_zero])
     signed = meas.j_plus.size + meas.j_minus.size
-    block = phi[np.ix_(rows, support)] * s
+    block = phi[rows[:, None], support] * s
     block[:signed] *= meas.y[rows[:signed], None]
     if _refuted(block[:signed]) or (k == 1 and block[signed:].any()):
         return lp.MarginCertificate(t_star=0.0, witness=np.zeros(n))

@@ -64,19 +64,19 @@ def as_vector(a, length: int | None = None) -> np.ndarray:
 
 
 def _pivot_threshold(m: np.ndarray, rank_tol: float) -> float:
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
+    scale = float(np.abs(m).max()) if m.size else 0.0
     if scale == 0.0:
         scale = 1.0
     return rank_tol * scale
 
 
-def _row_reduce(m: np.ndarray, thr: float) -> tuple[int, list[int], list[float], np.ndarray]:
-    """Gaussian elimination with partial pivoting.
+def _row_reduce(a: np.ndarray, thr: float) -> tuple[int, list[int], list[float], np.ndarray]:
+    """Gaussian elimination with partial pivoting, in place on the float
+    array a (a copy the caller owns, as as_matrix returns).
 
-    Returns (rank, pivot_columns, pivot_magnitudes, echelon_form).  A pivot
-    is rejected when its absolute value is <= thr.
+    Returns (rank, pivot_columns, pivot_magnitudes, echelon_form), the form
+    being a itself.  A pivot is rejected when its absolute value is <= thr.
     """
-    a = np.array(m, dtype=float)
     rows, cols = a.shape
     pivot_cols: list[int] = []
     pivot_mags: list[float] = []
@@ -84,8 +84,7 @@ def _row_reduce(m: np.ndarray, thr: float) -> tuple[int, list[int], list[float],
     for c in range(cols):
         if r >= rows:
             break
-        sub = np.abs(a[r:, c])
-        p = int(np.argmax(sub)) + r
+        p = int(np.abs(a[r:, c]).argmax()) + r
         if abs(a[p, c]) <= thr:
             continue
         if p != r:
@@ -93,7 +92,7 @@ def _row_reduce(m: np.ndarray, thr: float) -> tuple[int, list[int], list[float],
         pivot_cols.append(c)
         pivot_mags.append(abs(a[r, c]))
         below = a[r + 1:, c] / a[r, c]
-        a[r + 1:, :] -= np.outer(below, a[r, :])
+        a[r + 1:] -= below[:, None] * a[r]
         a[r + 1:, c] = 0.0
         r += 1
     return r, pivot_cols, pivot_mags, a

@@ -6,18 +6,22 @@ reproducibility rather than speed on large instances: fixed pivoting rules
 duals read off the final basis, and strict inequalities handled everywhere
 by margin maximization instead of epsilon perturbations.
 
-Phase 1 starts on the unit columns the standard form already has: each
-row is oriented so that b_i >= 0, and a column whose only nonzero is +1
-in that row (a slack, a flipped surplus, a gap variable of the decoder)
-starts basic there.  Only rows without such a column get an artificial
-variable.  The dual of a row is read from the reduced cost of the column
-that started basic in it.  Every status but stalled is checked in the
+The phase-1 tableau is built once, straight from the LPProblem's arrays:
+its standard form (column layout in _unit_start) with each row oriented so
+that b_i >= 0, one column per artificial, then the right-hand side; no
+other copy of the constraint block is made.  Phase 1 starts on the unit
+columns the standard form already has: a column whose only nonzero is +1
+in an oriented row (a slack, a flipped surplus, a gap variable of the
+decoder) starts basic there, and only rows without one get an artificial.
+The dual of a row is read from the reduced cost of the column that
+started basic in it.  Every status but stalled is checked in the
 problem's own units, reading each row's relation from LPProblem.senses,
-before it is returned: optimal by the point against every row and sign
-bound and the multipliers for their signs, every variable's reduced cost
-and the duality gap; unbounded by its point and an improving ray;
-infeasible by a Farkas vector read off the phase-1 duals.  An answer
-that fails its checks is returned as inaccurate.
+before it is returned: optimal in one pass over |a|, |x| and |y| (the
+point against every row and sign bound, the multipliers for their signs,
+every variable's reduced cost and the duality gap); unbounded by its
+point and an improving ray; infeasible by a Farkas vector read off the
+phase-1 duals.  An answer that fails its checks is returned as
+inaccurate.
 
 Every pivot is one rank-1 update of the dense tableau; the pivot rules
 are pinned (see _run_phase), so the same problem always takes the same
@@ -69,6 +73,14 @@ def _free_mask(free, n: int, default: bool) -> np.ndarray:
     return fr.astype(bool)
 
 
+def _row_senses(rels: tuple[str, ...]) -> np.ndarray:
+    """The sense s_i of each relation (see _SENSES)."""
+    try:
+        return np.array([_SENSES[r] for r in rels])
+    except KeyError as err:
+        raise ValueError(f"unknown relation {err.args[0]!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class LPProblem:
     """min/max c.x subject to rows a_i.x (<=|=|>=) b_i, x_j >= 0 or free.
@@ -96,10 +108,7 @@ class LPProblem:
         rels = tuple(self.rels)
         if len(rels) != b.shape[0]:
             raise ValueError(f"{len(rels)} relations for {b.shape[0]} rows")
-        try:
-            senses = np.array([_SENSES[r] for r in rels])
-        except KeyError as err:
-            raise ValueError(f"unknown relation {err.args[0]!r}") from None
+        senses = _row_senses(rels)
         senses.flags.writeable = False
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
@@ -157,29 +166,6 @@ class LPSolution:
     ray: np.ndarray | None = None
 
 
-def to_standard_form(p: LPProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rewrite as min c.z, A z = b, z >= 0.
-
-    The columns of z come in a fixed order: the n original variables, then
-    the negative part of each free variable in variable order, then one
-    slack (<= row) or surplus (>= row) column per inequality row in row
-    order.  So x = z[:n] less the negative parts on the free variables.  A
-    max objective is negated.
-    """
-    n = p.n_vars
-    free = p.free.nonzero()[0]
-    ineq = p.senses.nonzero()[0]
-    n_free = free.size
-    a = np.zeros((p.n_rows, n + n_free + ineq.size))
-    a[:, :n] = p.a
-    a[:, n:n + n_free] = -p.a[:, free]
-    a[ineq, n + n_free + np.arange(ineq.size)] = -p.senses[ineq]
-    c = np.zeros(a.shape[1])
-    c[:n] = -p.c if p.sense == "max" else p.c
-    c[n:n + n_free] = -c[free]
-    return c, a, p.b.copy()
-
-
 def _pivot(t: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     """Make column col basic in row row by one rank-1 update of t.
 
@@ -187,10 +173,11 @@ def _pivot(t: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     pivot entry is 1.0 and the update leaves exact zeros elsewhere in the
     column (c - c * 1.0 = 0.0) and 1.0 at the pivot (colvals[row] is 0).
     """
-    t[row] /= t[row, col]
-    colvals = t[:, col].copy()
-    colvals[row] = 0.0
-    t -= colvals[:, None] * t[row]
+    prow = t[row]
+    prow /= prow[col]
+    colvals = t[:, col, None].copy()
+    colvals[row, 0] = 0.0
+    t -= colvals * prow
     basis[row] = col
 
 
@@ -242,7 +229,8 @@ def _run_phase(t: np.ndarray, basis: np.ndarray, n: int, state: _PivotState) -> 
         if not rows.size:
             return UNBOUNDED
         ratios = rhs[rows] / colvals[rows]
-        best = float(ratios.min())
+        # argmin finds the least ratio, or the first NaN if any.
+        best = float(ratios[ratios.argmin()])
         if math.isnan(best):
             return STALLED
         tied = rows[ratios <= best + PIVOT_TOL]
@@ -253,145 +241,160 @@ def _run_phase(t: np.ndarray, basis: np.ndarray, n: int, state: _PivotState) -> 
         _pivot(t, basis, row, col)
 
 
-def _unit_start(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row orientation and starting column of each row of A z = b.
+def _unit_start(p: LPProblem) -> tuple[list[bool], list[int]]:
+    """Row orientation and starting column of each row of p's standard form.
+
+    The standard form is min c.z, A z = b, z >= 0.  Its columns come in a
+    fixed order: the n variables, then the negative part of each free
+    variable (its column negated) in variable order, then one slack (+1,
+    <= row) or surplus (-1, >= row) per inequality row in row order.  So
+    x = z[:n] less the negative parts on the free variables (_original).
 
     A column whose only nonzero is +-1 in row i is basic in row i from the
     start once row i is oriented to give it +1 with b_i >= 0.  Rows with
     b_i < 0 are flipped; a row with b_i = 0 is flipped when it has a -1
     unit column and no +1 one.  Returns the flip mask and, per row, the
-    lowest-index such column (-1 for rows that need an artificial).
+    lowest-index such column (-1 for rows that need an artificial).  The
+    slacks and surpluses are read off the row senses, so only the n
+    structural columns are scanned; a free one's negative part is a unit
+    column exactly when it is, of the other sign.
     """
-    m, n = a.shape
-    flip = b < 0
-    if m == 0:
-        return flip, np.full(0, -1)
-    nz = a != 0.0
+    m, n = p.a.shape
+    nz = p.a != 0.0
     cols = (nz.sum(axis=0) == 1).nonzero()[0]
-    rows = nz[:, cols].argmax(axis=0)
-    vals = a[rows, cols]
-    plus = vals == 1.0
-    minus = vals == -1.0
-    has_plus = np.zeros(m, dtype=bool)
-    has_plus[rows[plus]] = True
-    has_minus = np.zeros(m, dtype=bool)
-    has_minus[rows[minus]] = True
-    flip |= (b == 0) & has_minus & ~has_plus
-    usable = np.where(flip[rows], minus, plus)
-    # The lowest usable column of each row; n marks a row without one.
-    start = np.full(m, n)
-    np.minimum.at(start, rows[usable], cols[usable])
-    start[start == n] = -1
+    # The lowest structural unit column of each row with +1, and with -1.
+    plus: dict[int, int] = {}
+    minus: dict[int, int] = {}
+    if cols.size:
+        rows = nz[:, cols].argmax(axis=0)
+        negative_part = {j: n + r for r, j in enumerate(p.free.nonzero()[0].tolist())}
+        for i, j, v in zip(rows.tolist(), cols.tolist(), p.a[rows, cols].tolist()):
+            if v == 1.0 or v == -1.0:
+                units = [(j, v), (negative_part[j], -v)] if j in negative_part else [(j, v)]
+                for col, val in units:
+                    side = plus if val > 0 else minus
+                    side[i] = min(side.get(i, col), col)
+    flip, start = [], []
+    slack = n + int(np.count_nonzero(p.free))
+    for i, (s, b) in enumerate(zip(p.senses.tolist(), p.b.tolist())):
+        up, down = plus.get(i), minus.get(i)
+        has_plus, has_minus = up is not None or s < 0, down is not None or s > 0
+        f = b < 0 or (b == 0 and has_minus and not has_plus)
+        col = down if f else up
+        if s:
+            # The row's own slack (+1) or surplus (-1), after the structural columns.
+            if col is None and (s > 0) == f:
+                col = slack
+            slack += 1
+        flip.append(f)
+        start.append(-1 if col is None else col)
     return flip, start
 
 
-def _simplex_standard(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict:
-    """Two-phase simplex on min c.z, A z = b, z >= 0.
+def _simplex_standard(p: LPProblem) -> dict:
+    """Two-phase simplex on the standard form of p (see _unit_start).
 
-    Returns a dict with status, z, y (row duals), ray.
-
-    Phase 1 starts on the unit columns the standard form already has (see
-    _unit_start): a slack, a surplus of a flipped row, or any column whose
-    single nonzero is +-1.  Only rows without one get an artificial
-    variable, and the phase-1 objective sums those artificials alone, so
-    the tableau has one column per artificial, not one per row.
+    Returns a dict with status, z (standard-form columns), y (row duals),
+    ray, farkas.  The phase-1 objective sums the artificials alone.
     Artificials never enter; rows whose artificial cannot be driven out
-    after phase 1 are redundant and stay inert.  The dual of row i is read
-    from the column that started basic there: y_i = c_j - red_j, with
-    c_j = 0 for an artificial, negated back for a flipped row.  Rows are
-    negated in place, so a and b are overwritten; pass arrays the caller
-    no longer needs.
+    after phase 1 are redundant and stay inert.  The dual of row i is
+    y_i = c_j - red_j for the column j that started basic there, with
+    c_j = 0 for an artificial, negated back for a flipped row.
     """
-    m, n = a.shape
-    flip, start = _unit_start(a, b)
-    np.negative(a, out=a, where=flip[:, None])
-    np.negative(b, out=b, where=flip)
-    art = np.flatnonzero(start < 0)
+    m, n = p.a.shape
+    free = p.free.nonzero()[0]
+    nf = free.size
+    flip, start = _unit_start(p)
+    ineq = [(i, -s) for i, s in enumerate(p.senses.tolist()) if s]
+    ns = n + nf + len(ineq)
+    art = np.array([i for i, j in enumerate(start) if j < 0], dtype=int)
     k = art.size
-    art_cols = n + np.arange(k)
-    basis = start
-    basis[art] = art_cols
-    first = basis.copy()
+    # Each row without a unit column starts on the next artificial.
+    for col, i in enumerate(art.tolist(), ns):
+        start[i] = col
+    first = np.array(start, dtype=int)
+    basis = first.copy()
+    sign = np.array([-1.0 if f else 1.0 for f in flip])
+    row_sign = sign[:, None]
 
-    t = np.zeros((m + 1, n + k + 1))
-    t[:m, :n] = a
-    t[art, art_cols] = 1.0
+    # Each row of the standard form times its sign (so a flipped row's
+    # zeros read -0.0, as a negated row's do), then one unit column per
+    # artificial, then b, oriented.
+    t = np.zeros((m + 1, ns + k + 1))
+    np.multiply(p.a, row_sign, out=t[:m, :n])
+    if nf:
+        np.multiply(p.a[:, free], -row_sign, out=t[:m, n:n + nf])
+    for col, (i, slack) in enumerate(ineq, n + nf):
+        t[i, col] = slack
+    t[:m, n + nf:ns] *= row_sign
+    t[art, first[art]] = 1.0
+    b = p.b * sign
     t[:m, -1] = b
-
     # Phase-1 reduced costs for cost vector (0,...,0,1,...,1) over the
     # artificials; the starting unit columns have no entry in their rows.
-    t[-1, :n] = -a[art].sum(axis=0)
+    t[-1, :ns] = -t[art, :ns].sum(axis=0)
     t[-1, -1] = -b[art].sum()
 
-    state = _PivotState(threshold=2 * (m + n), max_iter=1000 + 100 * (m + n))
-    status = _run_phase(t, basis, n, state)
-    if status == STALLED:
+    state = _PivotState(threshold=2 * (m + ns), max_iter=1000 + 100 * (m + ns))
+    if _run_phase(t, basis, ns, state) != OPTIMAL:
+        # A failed ratio test counts as a breakdown too: the phase-1
+        # objective is bounded below by zero.
         return {"status": STALLED}
-    if status == UNBOUNDED:
-        # Phase-1 objective is bounded below by zero; a failed ratio test
-        # here means numerical breakdown.
-        return {"status": STALLED}
-    scale = 1.0 + float(b.max()) if m else 1.0
-    phase1_obj = -t[-1, -1]
-    if phase1_obj > FEAS_TOL * scale:
+    if -t[-1, -1] > FEAS_TOL * (1.0 + float(b.max()) if m else 1.0):
         # The phase-1 duals, read as the phase-2 duals are below with cost
         # 1 on the artificials and 0 elsewhere, form a Farkas vector.
-        u = (first >= n) - t[-1, first]
-        np.negative(u, out=u, where=flip)
-        return {"status": INFEASIBLE, "farkas": u}
+        return {"status": INFEASIBLE, "farkas": ((first >= ns) - t[-1, first]) * sign}
 
-    # Drive basic artificials out wherever the row has substance.
-    for i in np.flatnonzero(basis >= n):
-        nz = (np.abs(t[i, :n]) > PIVOT_TOL).nonzero()[0]
-        if nz.size:
-            _pivot(t, basis, i, int(nz[0]))
+    # Drive basic artificials out wherever the row has substance.  An
+    # artificial never enters, so one still basic sits in its own row.
+    for i in art.tolist():
+        if basis[i] >= ns:
+            nz = (np.abs(t[i, :ns]) > PIVOT_TOL).nonzero()[0]
+            if nz.size:
+                _pivot(t, basis, i, int(nz[0]))
 
     # Install phase-2 costs.
-    c_ext = np.concatenate([c, np.zeros(k)])
-    cb = c_ext[basis]
-    t[-1, :-1] = c_ext - cb @ t[:m, :-1]
+    cost = np.zeros(ns + k)
+    cost[:n] = -p.c if p.sense == "max" else p.c
+    cost[n:n + nf] = -cost[free]
+    cb = cost[basis]
+    np.subtract(cost, cb @ t[:m, :-1], out=t[-1, :-1])
     t[-1, -1] = -float(cb @ t[:m, -1])
     t[-1, basis] = 0.0
 
-    status = _run_phase(t, basis, n, state)
+    status = _run_phase(t, basis, ns, state)
     if status == STALLED:
         return {"status": STALLED}
 
-    z = np.zeros(n + k)
+    z = np.zeros(ns + k)
     z[basis] = np.maximum(t[:m, -1], 0.0)
     if status == UNBOUNDED:
-        red = t[-1, :n]
-        candidates = np.flatnonzero(red < -OPT_TOL)
-        col = None
-        for j in candidates:
+        ray = np.zeros(ns + k)
+        for j in np.flatnonzero(t[-1, :ns] < -OPT_TOL):
             if not np.any(t[:m, j] > PIVOT_TOL):
-                col = int(j)
+                ray[j] = 1.0
+                ray[basis] = np.maximum(-t[:m, j], 0.0)
                 break
-        ray = np.zeros(n + k)
-        if col is not None:
-            ray[col] = 1.0
-            ray[basis] = np.maximum(-t[:m, col], 0.0)
-        return {"status": UNBOUNDED, "z": z[:n], "ray": ray[:n]}
+        return {"status": UNBOUNDED, "z": z[:ns], "ray": ray[:ns]}
 
-    y = c_ext[first] - t[-1, first]
-    np.negative(y, out=y, where=flip)
-    return {"status": OPTIMAL, "z": z[:n], "y": y}
+    return {"status": OPTIMAL, "z": z[:ns], "y": (cost[first] - t[-1, first]) * sign}
 
 
-def _feasible(p: LPProblem, x: np.ndarray) -> bool:
+def _feasible(p: LPProblem, x: np.ndarray, abs_a: np.ndarray, abs_x: np.ndarray) -> bool:
     """Whether x meets p in original units: row i may miss its relation by
     FEAS_TOL * (1 + |b_i| + |a_i|.|x|), a nonnegative variable may dip
-    below zero by FEAS_TOL."""
+    below zero by FEAS_TOL.  abs_a and abs_x are |p.a| and |x|."""
     resid = p.a @ x - p.b
     # How far each row is past its relation (<= 0 when it holds).
     miss = np.where(p.senses, -p.senses * resid, np.abs(resid))
     return bool(
-        (miss <= FEAS_TOL * (1.0 + np.abs(p.b) + np.abs(p.a) @ np.abs(x))).all()
+        (miss <= FEAS_TOL * (1.0 + np.abs(p.b) + abs_a @ abs_x)).all()
         and ((x >= -FEAS_TOL) | p.free).all())
 
 
 def _verified(p: LPProblem, x: np.ndarray, y: np.ndarray) -> bool:
-    """Whether x and the multipliers y are optimal for p in original units.
+    """Whether x and the multipliers y are optimal for p in original units,
+    in one pass over |p.a|, |x| and |y|.
 
     x must be _feasible.  Dual, with s = 1 for min and -1 for max: s * y_i
     may take the wrong sign for its relation (<= 0 on <= rows, >= 0 on >=
@@ -401,21 +404,21 @@ def _verified(p: LPProblem, x: np.ndarray, y: np.ndarray) -> bool:
     FEAS_TOL * (1 + |b|.|y| + |c|.|x|).
     """
     s = -1.0 if p.sense == "max" else 1.0
-    abs_a, abs_b, abs_c = np.abs(p.a), np.abs(p.b), np.abs(p.c)
-    abs_x, abs_y = np.abs(x), np.abs(y)
+    abs_a, abs_c, abs_x, abs_y = np.abs(p.a), np.abs(p.c), np.abs(x), np.abs(y)
+    if not _feasible(p, x, abs_a, abs_x):
+        return False
     reduced = s * (p.c - y @ p.a)
     gap = abs(float(p.b @ y) - float(p.c @ x))
     return bool(
-        _feasible(p, x)
-        and (p.senses * (s * y) >= -OPT_TOL).all()
+        (p.senses * (s * y) >= -OPT_TOL).all()
         and (np.where(p.free, np.abs(reduced), -reduced)
              <= OPT_TOL * (1.0 + abs_c + abs_y @ abs_a)).all()
-        and gap <= FEAS_TOL * (1.0 + float(abs_b @ abs_y) + float(abs_c @ abs_x)))
+        and gap <= FEAS_TOL * (1.0 + float(np.abs(p.b) @ abs_y) + float(abs_c @ abs_x)))
 
 
 def _original(p: LPProblem, z: np.ndarray) -> np.ndarray:
     """The variables of p at a standard-form vector z: z[:n] less the
-    negative parts of the free variables (see to_standard_form)."""
+    negative parts of the free variables (see _unit_start)."""
     n = p.n_vars
     x = z[:n].copy()
     x[p.free] -= z[n:n + np.count_nonzero(p.free)]
@@ -462,7 +465,7 @@ def _is_farkas(p: LPProblem, u: np.ndarray) -> bool:
 
 def solve(p: LPProblem) -> LPSolution:
     """Solve an LPProblem; see LPSolution for the field conventions."""
-    out = _simplex_standard(*to_standard_form(p))
+    out = _simplex_standard(p)
     status = out["status"]
     if status == STALLED:
         return LPSolution(status=STALLED)
@@ -470,7 +473,7 @@ def solve(p: LPProblem) -> LPSolution:
         return LPSolution(status=INFEASIBLE if _is_farkas(p, out["farkas"]) else INACCURATE)
     if status == UNBOUNDED:
         x, d = _original(p, out["z"]), _original(p, out["ray"])
-        if not (_feasible(p, x) and _is_ray(p, d)):
+        if not (_feasible(p, x, np.abs(p.a), np.abs(x)) and _is_ray(p, d)):
             return LPSolution(status=INACCURATE)
         return LPSolution(status=UNBOUNDED, primal=x, ray=d)
     x = _original(p, out["z"])
@@ -518,27 +521,29 @@ def max_margin_feasibility(a, rels, b, strict, free=None) -> MarginCertificate:
     if idx.size and idx.dtype.kind not in "iu":
         raise ValueError(f"strict indices must be integers, got {idx.tolist()}")
     idx = idx.astype(int)
-    outside = idx[(idx < 0) | (idx >= r)]
-    if outside.size:
+    rows = idx.tolist()
+    outside = [i for i in rows if not 0 <= i < r]
+    if outside:
         raise ValueError(f"strict index {outside[0]} out of range")
 
-    # Columns: the n variables, then t; the last row is t <= 1.
-    ext = np.zeros((r + 1, n + 1))
-    ext[:r, :n] = a
-    ext[r, n] = 1.0
     fmask = np.zeros(n + 1, dtype=bool)
     fmask[:n] = _free_mask(free, n, True)
+    rhs = np.ones(r + 1)
+    rhs[:r] = as_vector(b, r)
+    senses = _row_senses(rels)
+    eq = [i for i in rows if rels[i] == "="]
+    if eq:
+        raise ValueError(f"row {eq[0]} is an equality and cannot be strict")
 
+    # Columns: the n variables, then t.  Each strict row gains -s_i t
+    # (a_i.x - t >= b_i or a_i.x + t <= b_i); the last row is t <= 1.
+    ext = np.zeros((r + 1, n + 1))
+    ext[:r, :n] = a
+    ext[idx, n] = -senses[idx]
+    ext[r, n] = 1.0
     c = np.zeros(n + 1)
     c[-1] = 1.0
-    p = LPProblem(c=c, a=ext, rels=rels + ("<=",),
-                  b=np.append(as_vector(b, r), 1.0), sense="max", free=fmask)
-    eq = idx[p.senses[idx] == 0]
-    if eq.size:
-        raise ValueError(f"row {eq[0]} is an equality and cannot be strict")
-    # Each strict row gains -s_i t in p's own copy of ext: a_i.x - t >= b_i
-    # or a_i.x + t <= b_i.
-    p.a[idx, n] = -p.senses[idx]
+    p = LPProblem(c=c, a=ext, rels=rels + ("<=",), b=rhs, sense="max", free=fmask)
     sol = solve(p)
     if sol.status == INFEASIBLE:
         return MarginCertificate(t_star=-1.0, witness=None)

@@ -234,7 +234,7 @@ def l0_min(phi, y, k_max: int | None = None,
         hits = []
         for supp in combinations(range(n), size):
             cols = np.array(supp, dtype=int)
-            block = phi[np.ix_(order, cols)]
+            block = phi[order[:, None], cols]
             if not block[:signed].any(axis=1).all():
                 continue
             cert = lp.max_margin_feasibility(block, rels, b, strict)

@@ -51,11 +51,12 @@ class SignMeasurement:
         if arr.ndim != 1:
             raise ValueError("measurement must be a 1-D vector")
         # Checked before the integer cast, which would truncate 0.6 to 0.
-        if not np.isin(arr, (-1, 0, 1)).all():
+        # Entries compare by value, so 1.0 and True pass and nan or '1' fail.
+        if not all(v in (-1, 0, 1) for v in arr.tolist()):
             raise ValueError("measurement entries must lie in {-1, 0, 1}")
         arr = arr.astype(int)
-        return cls(y=arr, j_plus=np.flatnonzero(arr == 1),
-                   j_minus=np.flatnonzero(arr == -1), j_zero=np.flatnonzero(arr == 0))
+        return cls(y=arr, j_plus=(arr == 1).nonzero()[0],
+                   j_minus=(arr == -1).nonzero()[0], j_zero=(arr == 0).nonzero()[0])
 
     @property
     def m(self) -> int:

@@ -321,5 +321,4 @@ def test_relaxation_lp_has_m_plus_one_rows(monkeypatch):
     assert problem.rels == (">=",) * m + ("=",)
     assert not problem.free.any()
     np.testing.assert_array_equal(problem.a[:, n:], -problem.a[:, :n])
-    _, a, _ = lp.to_standard_form(problem)
-    assert a.shape == (m + 1, 2 * n + m)
+    assert lp._simplex_standard(problem)["z"].shape == (2 * n + m,)

@@ -1,4 +1,4 @@
-"""Two-phase simplex, standard-form conversion, margins, dual checks."""
+"""Two-phase simplex, its standard form and start, margins, dual checks."""
 
 import numpy as np
 import pytest
@@ -60,6 +60,16 @@ def test_max_sense():
     assert s.objective_value == pytest.approx(3.0)
 
 
+def test_problem_without_rows():
+    """No rows: no unit columns, no artificials, an empty tableau body."""
+    bounded = lp.solve(lp.LPProblem.from_rows(np.array([1.0, 2.0]), []))
+    assert bounded.status == lp.OPTIMAL and bounded.objective_value == 0.0
+    assert bounded.primal.tolist() == [0.0, 0.0] and bounded.dual.shape == (0,)
+    free = lp.solve(lp.LPProblem.from_rows(np.array([1.0, -1.0]), [],
+                                           free=np.array([False, True])))
+    assert free.status == lp.UNBOUNDED and free.ray.tolist() == [0.0, 1.0]
+
+
 def test_degenerate_instance_terminates():
     """Heavily tied vertices must not cycle once Bland's rule engages."""
     c = np.array([-0.75, 150.0, -0.02, 6.0])
@@ -113,25 +123,102 @@ class TestFreeMask:
         assert p.free.tolist() == [True]
 
 
+def _standard_form(p):
+    """The documented standard form of p, built in pure Python: min c.z,
+    A z = b, z >= 0, its columns the variables, the negative parts of the
+    free ones in variable order, then one slack (+1 on a <= row) or surplus
+    (-1 on a >= row) per inequality row in row order; a max objective is
+    negated."""
+    free = [j for j in range(p.n_vars) if p.free[j]]
+    ineq = [i for i, rel in enumerate(p.rels) if rel != "="]
+    rows = []
+    for i, row in enumerate(p.a.tolist()):
+        slack = [0.0] * len(ineq)
+        if p.rels[i] != "=":
+            slack[ineq.index(i)] = 1.0 if p.rels[i] == "<=" else -1.0
+        rows.append(row + [-row[j] for j in free] + slack)
+    c = [-v if p.sense == "max" else v for v in p.c.tolist()]
+    c += [-c[j] for j in free] + [0.0] * len(ineq)
+    return np.array(c), np.array(rows).reshape(p.n_rows, len(c)), p.b.copy()
+
+
+def _reference_start(a, b):
+    """The documented unit-column start, in pure Python: orient each row so
+    that b >= 0, flipping a b = 0 row only when it has a -1 unit column and
+    no +1 one, and start each row on its lowest-index usable unit column
+    (+1 once oriented), or else on an artificial (-1)."""
+    a, b = a.tolist(), b.tolist()
+    units = {}
+    for j in range(len(a[0]) if a else 0):
+        rows = [i for i in range(len(a)) if a[i][j] != 0.0]
+        if len(rows) == 1 and a[rows[0]][j] in (1.0, -1.0):
+            units.setdefault(rows[0], []).append((j, a[rows[0]][j]))
+    flip, start = [], []
+    for i in range(len(a)):
+        values = [v for _, v in units.get(i, [])]
+        f = b[i] < 0 or (b[i] == 0 and -1.0 in values and 1.0 not in values)
+        usable = [j for j, v in units.get(i, []) if v == (-1.0 if f else 1.0)]
+        flip.append(f)
+        start.append(min(usable) if usable else -1)
+    return flip, start
+
+
+def _phase_one_tableau(monkeypatch, p):
+    """(tableau, basis) as the first phase-1 pivot of lp.solve(p) finds them."""
+    seen = []
+    run_phase = lp._run_phase
+
+    def recording(t, basis, n, state):
+        if not seen:
+            seen.append((t.copy(), basis.copy()))
+        return run_phase(t, basis, n, state)
+
+    monkeypatch.setattr(lp, "_run_phase", recording)
+    lp.solve(p)
+    monkeypatch.setattr(lp, "_run_phase", run_phase)
+    return seen[0]
+
+
 class TestStandardForm:
     def test_free_variable_split_example(self):
         p = lp.LPProblem.from_rows(np.array([1.0]), [(np.array([1.0]), ">=", 1.0)],
                                    free=np.array([True]))
-        c, a, b = lp.to_standard_form(p)
+        c, a, b = _standard_form(p)
         np.testing.assert_array_equal(c, [1.0, -1.0, 0.0])
         np.testing.assert_array_equal(a, [[1.0, -1.0, -1.0]])
         np.testing.assert_array_equal(b, [1.0])
 
+    def test_tableau_is_the_oriented_standard_form(self, monkeypatch):
+        """The phase-1 tableau holds the documented standard form, each
+        flipped row negated, then one unit column per artificial, then b;
+        its cost row is minus the sum of the artificial rows."""
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            p = random_problem(rng)
+            _, a, b = _standard_form(p)
+            flip, start = map(np.array, lp._unit_start(p))
+            sign = np.where(flip, -1.0, 1.0)
+            t, basis = _phase_one_tableau(monkeypatch, p)
+            m, ns = a.shape
+            art = np.flatnonzero(start < 0)
+            assert t.shape == (m + 1, ns + art.size + 1)
+            np.testing.assert_array_equal(t[:m, :ns], sign[:, None] * a)
+            np.testing.assert_array_equal(t[:m, -1], sign * b)
+            np.testing.assert_array_equal(t[:m, ns:-1], np.eye(m)[:, art])
+            np.testing.assert_array_equal(basis, np.where(start < 0, ns + np.cumsum(start < 0) - 1,
+                                                          start))
+            np.testing.assert_array_equal(t[-1], -t[art].sum(axis=0) + np.r_[
+                np.zeros(ns), np.ones(art.size), 0.0])
+
     def test_bp_encoding_column_count(self):
         problem, _ = encode_bp_lp(PHI, SignMeasurement.from_y(Y))
-        c, a, b = lp.to_standard_form(problem)
-        assert a.shape == (10, 22)
+        out = lp._simplex_standard(problem)
+        assert out["z"].shape == (22,) and out["y"].shape == (10,)
 
     def test_round_trip_recovers_original_variables(self):
-        """The documented column layout: the original variables, the
-        negative parts of the free ones in variable order, then one slack or
-        surplus per inequality row in row order; x = z[:n] less the
-        negative parts."""
+        """The simplex's own point z, read in the documented column layout,
+        meets the standard form and gives back the returned x: z[:n] less
+        the negative parts on the free variables."""
         rng = np.random.default_rng(42)
         checked = 0
         for _ in range(60):
@@ -140,20 +227,16 @@ class TestStandardForm:
             if s.status != lp.OPTIMAL:
                 continue
             checked += 1
-            c, a, b = lp.to_standard_form(p)
+            c, a, b = _standard_form(p)
+            z = lp._simplex_standard(p)["z"]
             x, n = s.primal, p.n_vars
             free = np.flatnonzero(p.free)
-            ineq = np.flatnonzero(np.array(p.rels) != "=")
-            sense = np.where(np.array(p.rels)[ineq] == ">=", 1.0, -1.0)
-            z = np.concatenate([np.where(p.free, np.maximum(x, 0.0), x),
-                                np.maximum(-x[free], 0.0),
-                                sense * (p.a[ineq] @ x - p.b[ineq])])
             assert z.shape == c.shape
             back = z[:n].copy()
             back[free] -= z[n:n + free.size]
-            np.testing.assert_allclose(back, x, atol=1e-12)
+            np.testing.assert_array_equal(back, x)
             np.testing.assert_allclose(a @ z, b, atol=1e-9)
-            assert (z >= -1e-9).all()
+            assert (z >= 0.0).all()
             sign = -1.0 if p.sense == "max" else 1.0
             assert c @ z == pytest.approx(sign * s.objective_value, abs=1e-9)
         assert checked >= 10
@@ -247,6 +330,34 @@ class TestMarginFeasibility:
         with pytest.raises(ValueError):
             lp.max_margin_feasibility([[1.0]], ("=",), [0.0], strict=[0])
 
+    def test_leaves_the_callers_arrays_alone(self, monkeypatch):
+        """The problem is built complete: its t-column holds -s_i on the
+        strict rows from the start, and a and b stay as the caller gave them."""
+        a = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
+        b = np.array([1.0, -1.0, 0.0])
+        a0, b0 = a.copy(), b.copy()
+        seen = _captured_solves(monkeypatch, lp.max_margin_feasibility,
+                                a, (">=", "<=", "="), b, [0, 1])
+        np.testing.assert_array_equal(a, a0)
+        np.testing.assert_array_equal(b, b0)
+        (problem, _), = seen
+        np.testing.assert_array_equal(problem.a[:, :2], np.vstack([a0, [0.0, 0.0]]))
+        np.testing.assert_array_equal(problem.a[:, 2], [-1.0, 1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(problem.b, [1.0, -1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("rels, strict, message", [
+        # each error is raised before the ones below it in this list
+        (("<=", ">="), [0.5], "strict indices must be integers"),
+        (("=", "=="), [0.5], "strict indices must be integers"),
+        (("<=", ">="), [2], "strict index 2 out of range"),
+        (("=", "=="), [-1], "strict index -1 out of range"),
+        (("=", "=="), [0], "unknown relation '=='"),
+        (("=", ">="), [1, 0], "row 0 is an equality and cannot be strict"),
+    ])
+    def test_errors_keep_their_messages_and_order(self, rels, strict, message):
+        with pytest.raises(ValueError, match=message):
+            lp.max_margin_feasibility([[1.0], [1.0]], rels, [0.0, 1.0], strict=strict)
+
     @pytest.mark.parametrize("strict", [[0.7], [1.0], ["0"], [0, 0.5]])
     def test_rejects_non_integer_strict_indices(self, strict):
         """0.7 was once read as row 0."""
@@ -325,9 +436,46 @@ class TestUnitColumnStart:
                       [1.0, 0.0, -1.0, 0.0, 0.0, 0.0],
                       [1.0, 0.0, 0.0, -1.0, 0.0, 0.0],
                       [3.0, 0.0, 0.0, 0.0, 1.0, 1.0]])
-        flip, start = lp._unit_start(a, np.array([-1.0, 0.0, 2.0, 5.0]))
+        # With equality rows and no free variable the standard form is a.
+        p = lp.LPProblem(c=np.zeros(6), a=a, rels=("=",) * 4, b=np.array([-1.0, 0.0, 2.0, 5.0]))
+        flip, start = lp._unit_start(p)
         np.testing.assert_array_equal(flip, [True, True, False, False])
         np.testing.assert_array_equal(start, [1, 2, -1, 4])
+
+    @staticmethod
+    def assert_reference_start(p):
+        _, a, b = _standard_form(p)
+        flip, start = lp._unit_start(p)
+        assert lp._unit_start(p) == _reference_start(a, b)
+
+    def test_start_follows_the_documented_rule_on_seeded_problems(self):
+        """Small integer entries make many +-1 unit columns, structural
+        ones and the negative parts of free ones among them, and b = 0
+        rows of every relation."""
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            a = rng.integers(-2, 3, size=(m, n)).astype(float)
+            a[:, rng.random(n) < 0.4] *= rng.random((m, 1)) < 0.3
+            p = lp.LPProblem(c=rng.integers(-2, 3, size=n).astype(float), a=a,
+                             rels=[("<=", ">=", "=")[int(r)] for r in rng.integers(0, 3, size=m)],
+                             b=rng.integers(-1, 2, size=m).astype(float),
+                             free=rng.random(n) < 0.4)
+            self.assert_reference_start(p)
+
+    def test_start_follows_the_documented_rule_on_library_lps(self, monkeypatch):
+        """The decoder, relaxation, witness-margin and membership LPs."""
+        problems = []
+        for phi, x, y in TestDualsOfLibraryLps.instances():
+            problems.append(encode_bp_lp(phi, SignMeasurement.from_y(y))[0])
+            problems += [p for p, _ in _captured_solves(monkeypatch, relaxation_gd, phi, y)]
+            problems += [p for p, _ in _captured_solves(
+                monkeypatch, uniqueness_certificate, phi, y, one_bit_bp(phi, y).x)]
+            problems += [p for p, _ in _captured_solves(
+                monkeypatch, membership_P, phi, y, *signed_support(x))]
+        assert len(problems) == 16
+        for p in problems:
+            self.assert_reference_start(p)
 
 
 def _captured_solves(monkeypatch, fn, *args):
@@ -357,8 +505,7 @@ def _assert_dual_certificate(p, s):
         elif rel == ">=":
             assert sgn >= -1e-9
     # some rows take their dual from a unit column, not an artificial
-    c, a, b = lp.to_standard_form(p)
-    assert (lp._unit_start(a, b)[1] >= 0).any()
+    assert max(lp._unit_start(p)[1]) >= 0
 
 
 class TestDualsOfLibraryLps:
@@ -440,10 +587,10 @@ class TestPrimalVerification:
     def test_unverified_simplex_point_is_inaccurate(self, monkeypatch):
         p = lp.LPProblem(c=np.array([1.0]), a=np.array([[1.0]]), rels=(">=",),
                          b=np.array([1.0]))
-        monkeypatch.setattr(lp, "_simplex_standard", lambda c, a, b: {
+        monkeypatch.setattr(lp, "_simplex_standard", lambda problem: {
             "status": lp.OPTIMAL, "z": np.array([1.0 - 1e-6]), "y": np.array([1.0])})
         assert lp.solve(p).status == lp.INACCURATE
-        monkeypatch.setattr(lp, "_simplex_standard", lambda c, a, b: {
+        monkeypatch.setattr(lp, "_simplex_standard", lambda problem: {
             "status": lp.OPTIMAL, "z": np.array([1.0 - 1e-9]), "y": np.array([1.0])})
         assert lp.solve(p).status == lp.OPTIMAL
 
@@ -542,7 +689,7 @@ class TestInfeasibleVerification:
         flipped row, prove infeasibility in the problem's own units."""
         p = lp.LPProblem(c=np.zeros(1), a=np.array([[1.0], [-1.0]]), rels=("=", "<="),
                          b=np.array([0.0, -1.0]), free=[True])
-        out = lp._simplex_standard(*lp.to_standard_form(p))
+        out = lp._simplex_standard(p)
         assert out["status"] == lp.INFEASIBLE
         u = out["farkas"]
         assert u @ p.b > 0 and u @ p.a[:, 0] == 0.0 and u[1] <= 0.0

@@ -68,6 +68,32 @@ def test_measurement_rejects_bad_entries():
         SignMeasurement.from_y([0.6, -1.4])
 
 
+@pytest.mark.parametrize("y", [np.array([1, 0, -1]), np.array([1.0, 0.0, -1.0]),
+                               np.array([True, False, True]), [1, 0, -1], (-1.0, 1)])
+def test_measurement_accepts_integer_float_and_bool_signs(y):
+    meas = SignMeasurement.from_y(y)
+    assert meas.y.dtype == int
+    assert meas.y.tolist() == [int(v) for v in y]
+    assert (meas.j_plus.tolist(), meas.j_minus.tolist(), meas.j_zero.tolist()) == (
+        [i for i, v in enumerate(y) if v == 1], [i for i, v in enumerate(y) if v == -1],
+        [i for i, v in enumerate(y) if v == 0])
+
+
+@pytest.mark.parametrize("y, message", [
+    (np.array([1.0, 0.6]), "entries must lie in"),
+    (np.array([1.7, 0.0]), "entries must lie in"),
+    (np.array([2, 0]), "entries must lie in"),
+    (np.array([-2, 1]), "entries must lie in"),
+    (np.array([np.nan, 1.0]), "entries must lie in"),
+    (np.array([np.inf, 1.0]), "entries must lie in"),
+    (np.array(["1", "0"]), "entries must lie in"),
+    (np.array([[1, 0], [0, 1]]), "must be a 1-D vector"),
+])
+def test_measurement_rejects_what_is_not_a_sign_vector(y, message):
+    with pytest.raises(ValueError, match=message):
+        SignMeasurement.from_y(y)
+
+
 def test_measure_consistency_round_trip():
     rng = np.random.default_rng(42)
     for _ in range(40):
