@@ -19,7 +19,10 @@ two cases where the constraints leave one candidate, so the optimum is
 read off in closed form: the membership of a one-column support (the
 margin grows with the one coordinate, up to its cap), and a restriction
 pair whose kept stack H is square and of full rank (H.T w = s fixes the
-witness).
+witness).  Membership skips its LP in two more cases: the signs refute
+a support (margin 0), or the sign point x_S = s already clears
+margin_tol, a lower bound on the optimum that settles the verdict.  The
+rank test of a one-column kept stack is a nonzero test.
 """
 
 from __future__ import annotations
@@ -405,7 +408,7 @@ def _refuted(block: np.ndarray):
 
 
 def _membership_margin(phi: np.ndarray, meas: SignMeasurement, s_plus,
-                       s_minus) -> lp.MarginCertificate:
+                       s_minus, confirm: float | None = None) -> lp.MarginCertificate:
     """Margin LP deciding whether a signed support is realized by some
     consistent signal (strict signs on the support and the signed rows,
     exact zeros elsewhere, sup-norm capped at 1 for scale).
@@ -418,15 +421,22 @@ def _membership_margin(phi: np.ndarray, meas: SignMeasurement, s_plus,
     optimum is that of the n-column formulation.  The witness is x with
     x_S = s * z and zeros elsewhere.
 
-    The signs refute a support before any LP is built: when some signed
-    row of y_i phi_iS s has no positive entry, z >= 0 caps that row at 0,
-    and z = 0, t = 0 is feasible, so the optimum is t = 0 exactly and the
-    zero signal is returned as the witness.  A one-column support {j} the
-    signs leave needs no LP either: a zero row with phi_ij != 0 forces
-    z = 0 (margin 0, zero witness); otherwise every signed row reads
-    c_i z with c_i = y_i phi_ij s > 0, so t = min(1, min c_i) z is largest
-    at z = 1, the one optimum, with witness s e_j.  Every other support is
-    decided by the LP.  Columns must be distinct and lie in [0, n).
+    The signs refute a support before any LP is built, with t = 0 the
+    exact optimum and the zero signal as witness (z = 0, t = 0 is
+    feasible): when some signed row of y_i phi_iS s has no positive entry,
+    z >= 0 caps that row at 0; and when some zero row of phi_iS s is not
+    all zero and has no two entries of opposite sign, z >= 0 and the
+    row's equality force z_j = 0 on a nonzero entry j, so t <= z_j = 0.
+
+    The sign point z = 1 (x_S = s) answers the rest when it is exactly
+    zero on every zero row: its margin is min(1, min over signed rows of
+    y_i phi_iS s).  For a one-column support that point is the one
+    optimum (every signed row reads c_i z with c_i > 0, so t is largest at
+    z = 1).  For a larger support it is a feasible point, so the optimum
+    is at least its margin; with confirm given, a point whose margin
+    reaches confirm is returned as it is, which settles membership at that
+    threshold, though not the optimum.  Every other support is decided by
+    the LP.  Columns must be distinct and lie in [0, n).
     """
     m, n = phi.shape
     sp = sorted(int(j) for j in s_plus)
@@ -445,13 +455,17 @@ def _membership_margin(phi: np.ndarray, meas: SignMeasurement, s_plus,
     signed = meas.j_plus.size + meas.j_minus.size
     block = phi[rows[:, None], support] * s
     block[:signed] *= meas.y[rows[:signed], None]
-    if _refuted(block[:signed]) or (k == 1 and block[signed:].any()):
+    zero = block[signed:]
+    if _refuted(block[:signed]) or (
+            zero.size and ((zero > 0.0).any(axis=1) != (zero < 0.0).any(axis=1)).any()):
         return lp.MarginCertificate(t_star=0.0, witness=np.zeros(n))
-    if k == 1:
-        x = np.zeros(n)
-        x[support] = s
-        return lp.MarginCertificate(t_star=float(block[:signed].min(initial=1.0)),
-                                    witness=x)
+    point = block.sum(axis=1)
+    if not point[signed:].any():
+        t = float(point[:signed].min(initial=1.0))
+        if k == 1 or (confirm is not None and t >= confirm):
+            x = np.zeros(n)
+            x[support] = s
+            return lp.MarginCertificate(t_star=t, witness=x)
 
     a = np.zeros((m + 2 * k, k))
     a[:k] = np.eye(k)
@@ -475,17 +489,20 @@ def membership_P(phi, y, s_plus, s_minus,
 
     Decided at margin_tol resolution: the strict sign requirements must be
     satisfiable with a common margin of at least margin_tol after capping
-    the signal's sup norm at 1.  A support whose columns all push some
-    signed row the wrong way (or not at all) is refuted from the signs
-    alone, and a one-column support is answered in closed form, both
-    without an LP and with the LP's exact optimum.  Raises ValueError when
-    y does not have one row per row of phi, or a column repeats or lies
-    outside [0, n).
+    the signal's sup norm at 1.  Three answers need no LP (see
+    _membership_margin): a support the signs refute, on a signed row
+    whose entries all push the wrong way or not at all, or on a zero row
+    whose nonzero entries all push one way; a one-column support, in
+    closed form; and a support whose sign point x_S = s is exactly zero
+    on every zero row and clears margin_tol on every signed row, which
+    the LP optimum can only exceed.  Raises ValueError when y does not
+    have one row per row of phi, or a column repeats, lies outside
+    [0, n) or is in both s_plus and s_minus.
     """
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
     meas = as_measurement(y, phi.shape[0])
-    cert = _membership_margin(phi, meas, s_plus, s_minus)
+    cert = _membership_margin(phi, meas, s_plus, s_minus, confirm=pol.margin_tol)
     return cert.t_star >= pol.margin_tol
 
 
@@ -587,10 +604,14 @@ def _pair_test(phi: np.ndarray, meas: SignMeasurement, sp, sm, pair: TPair,
     """(holds, margin) of the witness LP under one restriction pair, or None
     when the kept rows lose column rank and the LP is skipped.  A square
     kept stack of full rank fixes the witness, so its margin is read off
-    the one solution of H.T w = s (_square_witness_margin) instead."""
+    the one solution of H.T w = s (_square_witness_margin) instead.  A
+    one-column stack has full rank exactly when it has a nonzero entry:
+    column_rank's threshold, rank_tol * max |h|, lies below max |h|, so
+    that is its answer without the row reduction."""
     roles = _row_roles(meas, pair.t1, pair.t2)
     h = _kept_stack(phi, roles, sp, sm)
-    if column_rank(h, tol) < h.shape[1]:
+    full_rank = h.any() if h.shape[1] == 1 else column_rank(h, tol) == h.shape[1]
+    if not full_rank:
         return None
     if h.shape[0] == h.shape[1]:
         holds, _, margin = _square_witness_margin(phi, h, sp, sm, roles, tol)

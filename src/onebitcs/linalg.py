@@ -38,14 +38,22 @@ class TolerancePolicy:
 DEFAULT_TOLERANCES = TolerancePolicy()
 
 
+def _shaped(v: np.ndarray, ndim: int, length: int | None = None) -> np.ndarray:
+    """v itself when it has ndim axes and, given length, that many entries
+    along the first; ValueError otherwise.  Entries are not checked."""
+    if v.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-D array, got ndim={v.ndim}")
+    if length is not None and v.shape[0] != length:
+        raise ValueError(f"expected length {length}, got {v.shape[0]}")
+    return v
+
+
 def as_matrix(a) -> np.ndarray:
     """Validate and return a 2-D float64 copy of `a`.
 
     Raises ValueError on wrong dimensionality or non-finite entries.
     """
-    m = np.array(a, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got ndim={m.ndim}")
+    m = _shaped(np.array(a, dtype=float), 2)
     if m.size and not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
@@ -53,11 +61,7 @@ def as_matrix(a) -> np.ndarray:
 
 def as_vector(a, length: int | None = None) -> np.ndarray:
     """Validate and return a 1-D float64 copy of `a`."""
-    v = np.array(a, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D array, got ndim={v.ndim}")
-    if length is not None and v.shape[0] != length:
-        raise ValueError(f"expected length {length}, got {v.shape[0]}")
+    v = _shaped(np.array(a, dtype=float), 1, length)
     if v.size and not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector
+from .linalg import _shaped, as_matrix, as_vector
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -509,8 +509,12 @@ def max_margin_feasibility(a, rels, b, strict, free=None) -> MarginCertificate:
     a_i.x <= b_i - t, with 0 <= t <= 1.  Variables are free unless a
     boolean mask says otherwise.  The strict system is solvable exactly
     when t_star is positive beyond the caller's margin tolerance.
+
+    a and b are checked for shape here and copied straight into the
+    extended problem; the LPProblem built from it converts and validates
+    them (finite entries) once, with as_matrix's and as_vector's messages.
     """
-    a = as_matrix(a)
+    a = _shaped(np.asarray(a, dtype=float), 2)
     r, n = a.shape
     rels = tuple(rels)
     if r == 0:
@@ -529,7 +533,7 @@ def max_margin_feasibility(a, rels, b, strict, free=None) -> MarginCertificate:
     fmask = np.zeros(n + 1, dtype=bool)
     fmask[:n] = _free_mask(free, n, True)
     rhs = np.ones(r + 1)
-    rhs[:r] = as_vector(b, r)
+    rhs[:r] = _shaped(np.asarray(b, dtype=float), 1, r)
     senses = _row_senses(rels)
     eq = [i for i in rows if rels[i] == "="]
     if eq:

@@ -206,8 +206,11 @@ def l0_min(phi, y, k_max: int | None = None,
     decoding constraints restricted to that support decides feasibility;
     the first size with any hit is the answer.  A support on which some
     signed row of phi is identically zero is infeasible (that row would
-    need 0 >= 1) and is skipped without an LP.  Refuses a negative cap,
-    and wide instances unless the sweep is capped at small sparsity.
+    need 0 >= 1) and is skipped without an LP.  So is a one-column support
+    {j} whose signed rows' y_i phi_ij take both signs (x_j would need both
+    signs) or that a zero row with phi_ij != 0 pins to x_j = 0.  Refuses a
+    negative cap, and wide instances unless the sweep is capped at small
+    sparsity.
     """
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
@@ -230,9 +233,14 @@ def l0_min(phi, y, k_max: int | None = None,
     rels = (">=",) * meas.j_plus.size + ("<=",) * meas.j_minus.size + ("=",) * meas.j_zero.size
     b = meas.y[order].astype(float)
     strict = range(signed)
+    y_phi = b[:signed, None] * phi[order[:signed]]
+    one_signed = (y_phi > 0.0).all(axis=0) | (y_phi < 0.0).all(axis=0)
+    solvable_alone = one_signed & ~phi[order[signed:]].any(axis=0)
     for size in range(1, min(k_max, n) + 1):
         hits = []
         for supp in combinations(range(n), size):
+            if size == 1 and not solvable_alone[supp[0]]:
+                continue
             cols = np.array(supp, dtype=int)
             block = phi[order[:, None], cols]
             if not block[:signed].any(axis=1).all():

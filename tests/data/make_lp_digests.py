@@ -1,6 +1,7 @@
 """Record the bit-identity digests of a seeded corpus of the library's LPs.
 
-    python3 tests/data/make_lp_digests.py      # writes tests/data/lp_digests.json
+    python3 tests/data/make_lp_digests.py            # writes tests/data/lp_digests.json
+    python3 tests/data/make_lp_digests.py --per-lp   # prints every LP's digest as JSON
 
 The corpus holds seeded LPs of every family the library builds: the
 witness-margin (_sign_witness_margin), membership-margin (_membership_margin)
@@ -9,8 +10,12 @@ relaxation_consistency and relaxation_gd LPs, one_bit_bp at 8x16 and 20x40,
 and alternative_optimum; and small LPs whose ratio tests see near-ties.
 Each LP that lp.solve answers is digested from its status, objective and
 the bytes of its primal, dual and ray, in the order the library solves
-them; a family's digest is the SHA-256 of its LPs' digests in turn.  tests/test_lp_digests.py recomputes the corpus and
-requires every family's digest to equal the recorded one.
+them; a family's digest is the SHA-256 of its LPs' digests in turn.
+tests/test_lp_digests.py recomputes the corpus and requires every
+family's digest to equal the recorded one.  --per-lp prints
+{family: [hex digest of each LP, in solve order]} instead of writing the
+file, so two checkouts can be compared LP by LP, e.g. to show that a
+change only drops LPs from a family and leaves the rest bit-identical.
 
 The recorded file pins the solver's pivots: a change that is meant to leave
 every pivot and every returned bit alone must leave it unchanged.  Rerun
@@ -108,8 +113,8 @@ def _digest(sol: lp.LPSolution) -> bytes:
     return h.digest()
 
 
-def corpus_digests() -> dict[str, dict[str, object]]:
-    """{family: {"lps": count, "sha256": digest}} over the seeded corpus."""
+def per_lp_digests() -> dict[str, list[bytes]]:
+    """{family: [digest of each LP, in solve order]} over the seeded corpus."""
     seen: dict[str, list[bytes]] = {}
     names = ["unlabelled"]
     solve = lp.solve
@@ -141,9 +146,20 @@ def corpus_digests() -> dict[str, dict[str, object]]:
     finally:
         for owner, name, fn in originals:
             setattr(owner, name, fn)
+    return dict(sorted(seen.items()))
+
+
+def corpus_digests() -> dict[str, dict[str, object]]:
+    """{family: {"lps": count, "sha256": digest}} over the seeded corpus."""
     return {name: {"lps": len(ds), "sha256": hashlib.sha256(b"".join(ds)).hexdigest()}
-            for name, ds in sorted(seen.items())}
+            for name, ds in per_lp_digests().items()}
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps(corpus_digests(), indent=2) + "\n", encoding="utf-8")
+    if sys.argv[1:] == ["--per-lp"]:
+        print(json.dumps({name: [d.hex() for d in ds]
+                          for name, ds in per_lp_digests().items()}, indent=2))
+    elif sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--per-lp]")
+    else:
+        DIGESTS.write_text(json.dumps(corpus_digests(), indent=2) + "\n", encoding="utf-8")

@@ -505,20 +505,29 @@ class TestSignRefutation:
         return solves
 
     def test_membership_agrees_with_lp(self, monkeypatch):
+        """Over supports of up to 3 columns: _membership_margin's optimum
+        is the LP's, LP-free answers included, and membership_P decides as
+        the LP does.  Of the 1,064 patterns, 932 margins need no LP (762
+        before zero rows refuted supports), and membership_P confirms 35
+        more from the sign point x_S = s."""
         solves = self._count_solves(monkeypatch)
         tol = DEFAULT_TOLERANCES.margin_tol
-        refuted = members = 0
+        refuted = confirmed = members = 0
         for phi, meas in _refutation_cases():
-            for sp, sm in _signed_patterns(phi.shape[1], 2):
+            for sp, sm in _signed_patterns(phi.shape[1], 3):
                 solves.clear()
                 t_star = _membership_margin(phi, meas, sp, sm).t_star
-                refuted += not solves
+                margin_free = not solves
                 ref = _lp_only_membership_margin(phi, meas, sp, sm).t_star
                 assert abs(t_star - ref) <= 1e-9
                 assert (t_star >= tol) == (ref >= tol)
+                solves.clear()
                 assert membership_P(phi, meas, sp, sm) == (ref >= tol)
+                refuted += margin_free
+                confirmed += not solves and not margin_free
                 members += ref >= tol
-        assert refuted >= 400 and members >= 100
+        assert refuted >= 850 and members >= 100
+        assert confirmed >= 20
 
     def test_l0_min_agrees_with_lp(self, monkeypatch):
         solves = self._count_solves(monkeypatch)
@@ -538,7 +547,8 @@ class TestSignRefutation:
                 np.testing.assert_array_equal(x, ref)
             checked += 1
         assert checked >= 40
-        assert skipped >= 60
+        # 117 skipped LPs, 83 before one-column supports were skipped.
+        assert skipped >= 100
 
     def test_refuted_membership_solves_no_lp(self, monkeypatch):
         solves = self._count_solves(monkeypatch)
@@ -628,6 +638,26 @@ class TestClosedForms:
         roles = _row_roles(SignMeasurement.from_y([1]), (), ())
         h = _kept_stack(tiny, roles, (1,), ())
         assert _square_witness_margin(tiny, h, (1,), (), roles, tol) == (False, None, -1.0)
+
+    def test_one_column_rank_is_a_nonzero_test(self):
+        """column_rank of a one-column stack is 1 exactly when the column has
+        a nonzero entry, which _pair_test reads instead: on every
+        one-column kept stack of the criterion-5 family under the nonzero
+        measurements at k <= 2, on an all-zero column, on an empty one and
+        on a column spanning 1e-300 to 1e300."""
+        stacks = [np.zeros((3, 1)), np.zeros((0, 1)), np.array([[1e300], [1e-300]]),
+                  np.array([[1e-300]])]
+        for phi in _criterion5_family(2, 3):
+            ys = {tuple(meas.y) for k in (1, 2) for meas in enumerate_Yk(phi, k)
+                  if not meas.is_zero()}
+            for meas in map(SignMeasurement.from_y, sorted(ys)):
+                for j in range(phi.shape[1]):
+                    stacks += [_kept_stack(phi, _row_roles(meas, pair.t1, pair.t2), (j,), ())
+                               for pair in _tpairs(meas)]
+        for h in stacks:
+            assert h.any() == (column_rank(h) == 1)
+        nonzero = sum(bool(h.any()) for h in stacks)
+        assert nonzero >= 1000 and len(stacks) - nonzero >= 100
 
     def test_closed_forms_skip_their_lps(self, monkeypatch):
         """Each one-column membership and each square kept stack costs no

@@ -358,6 +358,31 @@ class TestMarginFeasibility:
         with pytest.raises(ValueError, match=message):
             lp.max_margin_feasibility([[1.0], [1.0]], rels, [0.0, 1.0], strict=strict)
 
+    @pytest.mark.parametrize("a, rels, b, strict, message", [
+        ([1.0, 1.0], (">=",), [0.0], [0], "expected a 2-D array, got ndim=1"),
+        ([[1.0], [np.nan]], (">=", "<="), [0.0, 1.0], [0], "matrix entries must be finite"),
+        ([[1.0], [1.0]], (">=", "<="), [0.0, np.inf], [0], "vector entries must be finite"),
+        ([[1.0], [1.0]], (">=", "<="), [0.0, 1.0, 2.0], [0], "expected length 2, got 3"),
+        ([[1.0], [1.0]], (">=", "<="), [[0.0, 1.0]], [0], "expected a 1-D array, got ndim=2"),
+        ([[1.0], [1.0]], ("=", ">="), [0.0, 1.0], [0], "row 0 is an equality"),
+        ([[1.0], [1.0]], (">=", "<="), [0.0, 1.0], [3], "strict index 3 out of range"),
+        (np.zeros((0, 1)), (), [], [], "margin system needs at least one row"),
+        ([[1.0], [1.0]], (">=",), [0.0, 1.0], [0], "1 relations for 2 rows"),
+    ])
+    def test_input_errors_keep_their_messages(self, a, rels, b, strict, message):
+        with pytest.raises(ValueError, match=message):
+            lp.max_margin_feasibility(a, rels, b, strict)
+
+    def test_validates_its_matrix_once(self, monkeypatch):
+        """The constraint block is converted and checked once, by the
+        LPProblem the margin LP builds."""
+        calls = []
+        real = lp.as_matrix
+        monkeypatch.setattr(lp, "as_matrix", lambda a: calls.append(1) or real(a))
+        cert = lp.max_margin_feasibility([[1.0], [1.0]], (">=", "<="), [0.0, 1.0], [0, 1])
+        assert cert.t_star == pytest.approx(0.5)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("strict", [[0.7], [1.0], ["0"], [0, 0.5]])
     def test_rejects_non_integer_strict_indices(self, strict):
         """0.7 was once read as row 0."""
