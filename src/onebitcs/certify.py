@@ -23,12 +23,16 @@ witness).  Membership skips its LP in two more cases: the signs refute
 a support (margin 0), or the sign point x_S = s already clears
 margin_tol, a lower bound on the optimum that settles the verdict.  The
 rank test of a one-column kept stack is a nonzero test.
+
+The measurements that carry each pattern come from one walk over the
+faces of each support's arrangement; each face is confirmed by its own
+point, or by the membership margin where that point misses margin_tol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from typing import NamedTuple
 
 import numpy as np
@@ -584,16 +588,16 @@ def _tpairs(meas: SignMeasurement):
 
 
 def _mirror_memo(twins: dict, key: tuple, compute):
-    """compute() for key = (s_plus, s_minus, y, *pair), shared with the
-    sign-mirrored twin (s_minus, s_plus, -y, *reversed(pair)).
+    """compute() for key = (s_plus, s_minus, y, t1, t2), shared with the
+    sign-mirrored twin (s_minus, s_plus, -y, t2, t1).
 
     A key whose lowest support column is positive stores its answer in
     twins; one whose lowest column is negative reads its twin's answer when
     stored, and computes its own otherwise.
     """
-    sp, sm, y, *pair = key
+    sp, sm, y, t1, t2 = key
     if sm and (not sp or sm[0] < sp[0]):
-        twin = (sm, sp, tuple(-v for v in y), *pair[::-1])
+        twin = (sm, sp, tuple(-v for v in y), t2, t1)
         return twins[twin] if twin in twins else compute()
     twins[key] = answer = compute()
     return answer
@@ -702,23 +706,45 @@ def rrsp_wrt_y(phi, y, k: int, variant: str,
     return (False, []) if found is None else (True, [found])
 
 
-def _carrier_candidates(phi: np.ndarray, k: int
-                        ) -> dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple[int, ...]]]:
-    """Sorted nonzero measurements y that may carry each signed pattern:
-    the faces of phi_S with the k coordinate rows appended, over every
-    support S of size k <= n, each sign vector (sign(phi_S z), sign(z)) a
-    (measurement, pattern) pair for the membership LP to confirm."""
+def _sign_faces(phi: np.ndarray, k: int, tol: TolerancePolicy
+                ) -> dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple[int, ...]]]:
+    """Sorted nonzero measurements y that carry each nonempty signed
+    pattern of size at most k <= n, as membership_P decides carrying.
+
+    Each face of phi_S with the k coordinate rows appended, over every
+    support S of size k, gives a pair (y, pattern) = (sign(phi_S z),
+    sign(z)); its point z, zeroed off the pattern and scaled to
+    max |x_S| = 1, confirms the pair when min(1, |x_j| on the pattern,
+    y_i phi_i x on the signed rows), a lower bound on the membership LP's
+    optimum, reaches margin_tol and each zero row meets |phi_i x| <=
+    FEAS_TOL (1 + |phi_i|.|x|), as that LP's verification asks.
+    _membership_margin decides every pair that no point confirms.
+    """
     m, n = phi.shape
-    found: dict[tuple, set[tuple[int, ...]]] = {}
+    confirmed, doubtful = set(), set()
     for supp in combinations(range(n), k):
-        cols = np.array(supp, dtype=int)
-        for face in _face_signs(np.vstack([phi[:, cols], np.eye(k)])):
-            y, z = face[:m], face[m:]
-            if y.any() and z.any():
-                pattern = (tuple(int(j) for j in cols[z > 0]),
-                           tuple(int(j) for j in cols[z < 0]))
-                found.setdefault(pattern, set()).add(tuple(int(v) for v in y))
-    return {pattern: sorted(ys) for pattern, ys in found.items()}
+        block = phi[:, list(supp)]
+        z, faces = _face_signs(np.vstack([block, np.eye(k)]))
+        keep = faces[:, :m].any(axis=1)  # y != 0 puts z, and so sign(z), off 0
+        y, s = faces[keep, :m], faces[keep, m:]
+        x = np.where(s != 0, z[keep], 0.0)
+        x /= np.abs(x).max(axis=1, keepdims=True, initial=0.0)
+        v = x @ block.T
+        margin = np.minimum(np.abs(x).min(axis=1, where=s != 0, initial=1.0),
+                            (y * v).min(axis=1, where=y != 0, initial=1.0))
+        # A zero row's entries on the pattern, times its signs, that all push
+        # one way refute the face, however close to zero the point reads it.
+        e = s[:, None, :] * block
+        zero_ok = ((e > 0.0).any(axis=2) == (e < 0.0).any(axis=2)) & (
+            np.abs(v) <= lp.FEAS_TOL * (1.0 + np.abs(x) @ np.abs(block).T))
+        sure = (margin >= tol.margin_tol) & (zero_ok | (y != 0)).all(axis=1)
+        for yi, si, ok in zip(y.tolist(), s.tolist(), sure.tolist()):
+            (confirmed if ok else doubtful).add((_split(supp, si), tuple(yi)))
+    confirmed |= {(p, y) for p, y in sorted(doubtful - confirmed) if _membership_margin(
+        phi, SignMeasurement.from_y(np.array(y)), *p, confirm=tol.margin_tol
+    ).t_star >= tol.margin_tol}
+    return {p: [y for _, y in pairs]
+            for p, pairs in groupby(sorted(confirmed), key=lambda pair: pair[0])}
 
 
 def rrsp_order_k(phi, k: int, variant: str,
@@ -732,9 +758,9 @@ def rrsp_order_k(phi, k: int, variant: str,
     for-all shape.  variant "necessary": every such pattern needs at least
     one measurement and pair with a witness.  The measurements that can
     carry each pattern come from one exact face walk per support of size
-    k, so no k-sparse measurement is missed; each is confirmed by the
-    membership margin of _membership_margin when its pattern is reached,
-    which at k = 1 is its closed form and needs no LP.  The sufficient
+    k, so no k-sparse measurement is missed; each is confirmed by its own
+    face point, or where that point misses margin_tol by the membership
+    margin, which at k = 1 is its closed form (_sign_faces).  The sufficient
     evidence is that of rrsp_wrt_y's sufficient variant, taken over every
     (pattern, carrier) in turn, with y the carrier.  The necessary evidence
     is the first holding pair of each pattern when it holds, and otherwise
@@ -745,11 +771,10 @@ def rrsp_order_k(phi, k: int, variant: str,
     A pattern whose lowest column is negative is not tested afresh where
     its sign-mirrored twin (s_minus, s_plus), reached earlier in the same
     support, already was: under the negated carrier and the swapped pair
-    (t2, t1) it reuses the twin's membership verdict, rank decision,
-    witness margin and holds.  The reuse is exact: y = sign(phi x) exactly
-    when -y = sign(phi (-x)), the kept rows are the twin's, permuted, and
-    w is a witness for the pattern exactly when -w is one for the twin, at
-    the same margin.  Each evidence entry keeps its own pattern, pair,
+    (t2, t1) it reuses the twin's rank decision, witness margin and holds.
+    The reuse is exact: the kept rows are the twin's, permuted, and w is a
+    witness for the pattern exactly when -w is one for the twin, at the
+    same margin.  Each evidence entry keeps its own pattern, pair,
     carrier and place in the list; only a reused margin can differ, by
     rounding, from the pattern's own LP.
     """
@@ -766,23 +791,15 @@ def rrsp_order_k(phi, k: int, variant: str,
             f"instance beyond exhaustive budget: sparsity {k} allows {rows} "
             f"rows and {cols} columns, got {m}x{n}")
 
-    candidates = _carrier_candidates(phi, k)
+    carriers = {p: [(SignMeasurement.from_y(np.array(y)), y) for y in ys]
+                for p, ys in _sign_faces(phi, k, pol).items()}
     twins: dict = {}
-
-    def carriers(sp, sm):
-        # Each candidate is confirmed when the sweep reaches it.
-        for y in candidates.get((sp, sm), []):
-            meas = SignMeasurement.from_y(np.array(y))
-            if _mirror_memo(twins, (sp, sm, y),
-                            lambda: membership_P(phi, meas, sp, sm, pol)):
-                yield meas, y
-
     if variant == SUFFICIENT:
         return _for_all_pairs(phi, ((p, meas, y) for p in _signed_patterns(n, k)
-                                    for meas, y in carriers(*p)), pol, twins)
+                                    for meas, y in carriers.get(p, [])), pol, twins)
     evidence: list[RrspEvidence] = []
     for sp, sm in _signed_patterns(n, k):
-        found = next((ev for meas, y in carriers(sp, sm)
+        found = next((ev for meas, y in carriers.get((sp, sm), [])
                       for ev in _pair_evidence(phi, meas, sp, sm, pol, twins, y)
                       if ev.holds), None)
         if found is None:

@@ -100,7 +100,7 @@ def _vec(v) -> list | None:
 
 def _cmd_decode(args: argparse.Namespace, pol, phi, y) -> int:
     if args.decoder == "bp":
-        sol = one_bit_bp(phi, y, pol)
+        sol = one_bit_bp(phi, y)
         payload = {
             "decoder": "bp",
             "status": sol.status,
@@ -131,7 +131,7 @@ def _cmd_certify(args: argparse.Namespace, pol, phi, y) -> int:
         x = _read_signal(args.x)
         source = "supplied"
     else:
-        sol = one_bit_bp(phi, y, pol)
+        sol = one_bit_bp(phi, y)
         if sol.status != lp.OPTIMAL:
             payload = {"status": sol.status}
             if sol.status == lp.INFEASIBLE:
@@ -188,7 +188,7 @@ def _cmd_oracle(args: argparse.Namespace, pol, phi, y) -> int:
     sparsest = oracle.l0_min(phi, y, k_max=args.k, tol=pol)
     problem, _ = encode_bp_lp(phi, y)
     vertex = oracle.lp_vertex_oracle(problem, tol=pol)
-    bp = one_bit_bp(phi, y, pol)
+    bp = one_bit_bp(phi, y)
     payload = {
         "l0_min": None if math.isinf(sparsest.value) else int(sparsest.value),
         "l0_witnesses": [

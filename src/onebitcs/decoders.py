@@ -87,7 +87,7 @@ def encode_bp_lp(phi, meas: SignMeasurement
     return problem, lambda point: point[:n].copy()
 
 
-def one_bit_bp(phi, y, tol: TolerancePolicy | None = None) -> BPSolution:
+def one_bit_bp(phi, y) -> BPSolution:
     """Minimum-l1 signal reproducing the sign measurement exactly.
 
     y may be a SignMeasurement or a raw vector over {-1, 0, 1}.  An

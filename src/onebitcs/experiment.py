@@ -153,7 +153,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
                 supp_sub = False
                 unique = False
                 if not degenerate and dec == "bp":
-                    sol = one_bit_bp(phi, meas, pol)
+                    sol = one_bit_bp(phi, meas)
                     status = sol.status
                     if sol.status == lp.OPTIMAL:
                         objective = float(sol.objective)

@@ -164,9 +164,10 @@ def null_space_basis(m, tol: TolerancePolicy | None = None) -> np.ndarray:
 _FACE_ZERO = 1e-9
 
 
-def _face_signs(a: np.ndarray) -> np.ndarray:
-    """Sign vectors sign(a z), one row per face of the central arrangement
-    {z : a_i z = 0}.
+def _face_signs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One point z per face of the central arrangement {z : a_i z = 0},
+    as the rows of the first array, and its sign vector sign(a z), as the
+    same row of the second.
 
     The walk keeps one point per face: the origin, then for each distinct
     hyperplane h of the current subspace the points of the walk of h (an
@@ -193,14 +194,11 @@ def _face_signs(a: np.ndarray) -> np.ndarray:
         thr = _FACE_ZERO * np.linalg.norm(z, axis=1, keepdims=True) * norms
         return np.where(v > thr, 1, np.where(v < -thr, -1, 0))
 
-    def cutting(b: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(b, axis=1) > _FACE_ZERO * norms
-
     def walk(q: np.ndarray, b: np.ndarray) -> np.ndarray:
         origin = np.zeros((1, d))
         if not q.shape[1]:
             return origin
-        cut = cutting(b)
+        cut = np.linalg.norm(b, axis=1) > _FACE_ZERO * norms
         u = b[cut]
         if q.shape[1] == 1:
             if not u.size:
@@ -232,4 +230,5 @@ def _face_signs(a: np.ndarray) -> np.ndarray:
             first.setdefault(row.tobytes(), i)
         return pts[list(first.values())]
 
-    return signs(walk(np.eye(d), a))
+    points = walk(np.eye(d), a)
+    return points, signs(points)

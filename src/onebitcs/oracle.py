@@ -1,10 +1,11 @@
 """Brute-force ground truth at desk scale.
 
 Everything in this module trades time for certainty: vertices are
-enumerated outright, supports are swept exhaustively, and sign images are
-read off the faces of the hyperplane arrangement of each support.  Each
-entry point refuses instances beyond its enumeration budget instead of
-sampling.
+enumerated outright, supports are swept exhaustively, and sign images and
+patterns are read off the faces of the hyperplane arrangement of each
+support, each face confirmed by its own point or, where that point misses
+margin_tol, by the membership margin LP.  Each entry point refuses
+instances beyond its enumeration budget instead of sampling.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from itertools import combinations, islice
 import numpy as np
 
 from . import lp
-from .certify import patterns_of_measurement
+from .certify import _sign_faces, _signed_patterns
 from .linalg import (
     DEFAULT_TOLERANCES,
     TolerancePolicy,
-    _face_signs,
     as_matrix,
     as_vector,
     column_rank,
@@ -257,70 +257,53 @@ def l0_min(phi, y, k_max: int | None = None,
     return SparsestSet(value=math.inf, witnesses=[])
 
 
+def _faces(phi: np.ndarray, k: int, tol: TolerancePolicy) -> dict:
+    """_sign_faces, refused before any work when its path count C(n, k)
+    (m + k)^k, m + k hyperplanes at each of k levels, exceeds YK_BUDGET."""
+    m, n = phi.shape
+    count = math.comb(n, k) * (m + k) ** k
+    if count > YK_BUDGET:
+        raise ValueError(
+            f"sign-image walk needs {count} hyperplane paths, beyond the budget of "
+            f"{YK_BUDGET}; instance too large for the oracle")
+    return _sign_faces(phi, k, tol)
+
+
 def enumerate_P(phi, y, k: int,
                 tol: TolerancePolicy | None = None
                 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All signed supports of size <= k realized by consistent signals;
-    k must be nonnegative."""
+    """All nonempty signed supports of size <= k realized by consistent
+    signals, in (size, support, signs) lexicographic order: the patterns
+    of the confirmed faces that carry y, walked over the supports of size
+    min(k, n).  k must be nonnegative and y nonzero; refuses walks beyond
+    YK_BUDGET."""
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
+    n = phi.shape[1]
     meas = as_measurement(y, phi.shape[0])
     if meas.is_zero():
         raise ValueError("pattern enumeration is undefined for the zero measurement")
-    if phi.shape[1] > L0_MAX_COLS and k > L0_MAX_SPARSITY:
-        raise ValueError(
-            f"pattern sweep beyond budget: needs columns <= {L0_MAX_COLS} "
-            f"or sparsity <= {L0_MAX_SPARSITY}")
-    return patterns_of_measurement(phi, meas, k, pol)
-
-
-def _support_realizable(phi, y_arr: np.ndarray, cols: np.ndarray,
-                        tol: TolerancePolicy) -> bool:
-    """Margin LP: is y_arr the exact standard sign of phi restricted to
-    cols at some coefficient vector?  Zero rows are equalities."""
-    j_plus = np.flatnonzero(y_arr > 0)
-    j_minus = np.flatnonzero(y_arr < 0)
-    j_zero = np.flatnonzero(y_arr == 0)
-    order = np.concatenate([j_plus, j_minus, j_zero])
-    signed = j_plus.size + j_minus.size
-    # Sign rows (j_plus >= 0, j_minus <= 0, j_zero = 0), then the box
-    # -1 <= z_j <= 1 as two rows per coefficient.
-    a = np.vstack([phi[np.ix_(order, cols)], np.repeat(np.eye(cols.size), 2, axis=0)])
-    rels = ((">=",) * j_plus.size + ("<=",) * j_minus.size
-            + ("=",) * j_zero.size + ("<=", ">=") * cols.size)
-    b = np.concatenate([np.zeros(order.size), np.tile([1.0, -1.0], cols.size)])
-    return lp.max_margin_feasibility(a, rels, b, range(signed)).t_star >= tol.margin_tol
+    if k < 0:
+        raise ValueError(f"sparsity must be nonnegative, got {k}")
+    faces = _faces(phi, min(k, n), pol)
+    carried = tuple(meas.y.tolist())
+    return [p for p in _signed_patterns(n, min(k, n)) if carried in faces.get(p, ())]
 
 
 def enumerate_Yk(phi, k: int, tol: TolerancePolicy | None = None
                  ) -> list[SignMeasurement]:
     """All sign measurements producible by k-sparse signals, sorted.
 
-    Exact for every k: each support S of size k contributes the sign
-    vectors of the faces of the central arrangement of the rows of phi
-    restricted to S, and every new one is confirmed by a margin LP on S.
-    Refuses, before any work, instances whose walk count C(n, k) m^k (the
-    walk of one support descends through at most m hyperplanes at each of
-    k levels) exceeds YK_BUDGET.
+    Exact for every k: the zero measurement and the y of every confirmed
+    face of the walk over the supports of size k (_sign_faces).  Refuses,
+    before any work, walks beyond YK_BUDGET.
     """
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
     m, n = phi.shape
     if k < 0 or k > n:
         raise ValueError(f"sparsity must lie in [0, {n}], got {k}")
-    count = math.comb(n, k) * m ** k
-    if count > YK_BUDGET:
-        raise ValueError(
-            f"sign-image walk needs {count} hyperplane paths, beyond the budget of "
-            f"{YK_BUDGET}; instance too large for the oracle")
-
-    found = {(0,) * m}
-    for supp in combinations(range(n), k):
-        cols = np.array(supp, dtype=int)
-        for cand in _face_signs(phi[:, cols]):
-            key = tuple(int(v) for v in cand)
-            if key not in found and _support_realizable(phi, cand, cols, pol):
-                found.add(key)
+    found = {(0,) * m}.union(*_faces(phi, k, pol).values())
     return [SignMeasurement.from_y(np.array(key, dtype=int)) for key in sorted(found)]
 
 

@@ -7,7 +7,8 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from onebitcs import lp
+import onebitcs
+from onebitcs import certify, lp, oracle
 from onebitcs.certify import (
     NECESSARY,
     NONSTANDARD_PHIX,
@@ -21,6 +22,7 @@ from onebitcs.certify import (
     _membership_margin,
     _pair_evidence,
     _row_roles,
+    _sign_faces,
     _sign_witness_margin,
     _signed_patterns,
     _square_witness_margin,
@@ -806,6 +808,9 @@ class TestQuantifiedRrsp:
         phi, y = np.eye(2), np.array([1, -1])
         assert rrsp_wrt_y(phi, y, 0, SUFFICIENT) == (True, [])
         assert patterns_of_measurement(phi, SignMeasurement.from_y(y), 0) == []
+        assert enumerate_P(phi, y, 0) == []
+        assert [meas.y.tolist() for meas in enumerate_Yk(phi, 0)] == [[0, 0]]
+        assert rrsp_order_k(phi, 0, SUFFICIENT) == (True, [])
         assert enumerate_P(phi, y, 3) == [((0,), (1,))]
         assert l0_min(phi, y, k_max=0).value == math.inf
         assert l0_min(phi, y, k_max=5).value == 2.0
@@ -927,3 +932,96 @@ class TestQuantifiedRrsp:
                 assert column_rank(sub) == len(cols)
                 verified += 1
         assert verified >= 3
+
+
+def _exhaustive_faces(phi, k: int, tol: TolerancePolicy) -> dict:
+    """_sign_faces by exhaustion: every nonzero y over {-1, 0, 1}^m and every
+    pattern of size at most k, kept where membership_P accepts the pair."""
+    found: dict = {}
+    for y in product((-1, 0, 1), repeat=phi.shape[0]):
+        if any(y):
+            for p in _signed_patterns(phi.shape[1], k):
+                if membership_P(phi, np.array(y), *p, tol):
+                    found.setdefault(p, []).append(y)
+    return found
+
+
+class TestSignFaces:
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """The certificates _membership_margin returns, in call order."""
+        certs = []
+        real = certify._membership_margin
+        monkeypatch.setattr(certify, "_membership_margin",
+                            lambda *a, **kw: certs.append(real(*a, **kw)) or certs[-1])
+        return certs
+
+    def test_fallback_matches_exhaustion_at_a_loose_policy(self, fallbacks):
+        """At margin_tol 0.25 many walk points miss the threshold, so the
+        membership margin decides their faces, accepting some and rejecting
+        others.  The carriers, enumerate_Yk and enumerate_P still equal the
+        exhaustive answer of membership_P at that policy, zero column
+        included."""
+        pol = TolerancePolicy(margin_tol=0.25)
+        rng = np.random.default_rng(2718)
+        matrices = [rng.normal(size=(3, 4)), rng.normal(size=(2, 3)), _row_sparse(rng, 4, 3)]
+        matrices[1][:, 1] = 0.0
+        decided = []
+        for phi in matrices:
+            m, n = phi.shape
+            for k in (1, 2):
+                expected = _exhaustive_faces(phi, k, pol)
+                fallbacks.clear()
+                assert _sign_faces(phi, k, pol) == expected
+                decided += [cert.t_star >= pol.margin_tol for cert in fallbacks]
+                ys = sorted({(0,) * m}.union(*expected.values()))
+                assert [tuple(meas.y.tolist()) for meas in enumerate_Yk(phi, k, pol)] == ys
+                for y in product((-1, 0, 1), repeat=m):
+                    if any(y):
+                        assert enumerate_P(phi, np.array(y), k, pol) == [
+                            p for p in _signed_patterns(n, k) if y in expected.get(p, ())]
+        assert decided.count(True) >= 10 and decided.count(False) >= 10
+
+    def test_fallback_rejects_a_near_threshold_face(self, fallbacks):
+        """Row 0 reads 1e-9 on column 0, so a face that signs row 0 by x_0
+        alone, or zeroes it with x_1 = -1e-9 x_0, has a margin near 1e-9 or
+        is refuted by the signs.  The fallback rejects each such face at the
+        default policy, as membership_P does, and column 0 carries no
+        measurement on its own."""
+        phi = np.array([[1e-9, 1.0], [1.0, -1.0]])
+        tol = DEFAULT_TOLERANCES
+        for k in (1, 2):
+            fallbacks.clear()
+            faces = _sign_faces(phi, k, tol)
+            assert fallbacks and all(cert.t_star < tol.margin_tol for cert in fallbacks)
+            assert any(cert.t_star > 0.0 for cert in fallbacks)
+            assert ((0,), ()) not in faces and ((), (0,)) not in faces
+            assert faces == _exhaustive_faces(phi, k, tol)
+
+    def test_enumerate_P_does_not_consult_the_code_it_checks(self, monkeypatch):
+        """With patterns_of_measurement and membership_P unreachable under
+        every name the oracle could use, enumerate_P still answers, and it
+        equals patterns_of_measurement on the criterion-5 family at k = 1
+        and 2, zero columns included."""
+        rng = np.random.default_rng(8)
+        cases = []
+        for phi in _criterion5_family(2, 3):
+            n = phi.shape[1]
+            for size in (1, n):
+                x = np.zeros(n)
+                x[rng.choice(n, size=size, replace=False)] = rng.normal(size=size)
+                meas = SignMeasurement.from_y(sign_standard(phi @ x))
+                if not meas.is_zero():
+                    cases += [(phi, meas, k, patterns_of_measurement(phi, meas, k))
+                              for k in (1, 2)]
+        assert any(not phi.any(axis=0).all() for phi, *_ in cases)
+        assert sum(bool(expected) for *_, expected in cases) >= 20
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("enumerate_P consulted the code it checks")
+
+        for module in (onebitcs, certify, oracle):
+            for name in ("patterns_of_measurement", "membership_P"):
+                monkeypatch.setattr(module, name, unreachable, raising=False)
+        for phi, meas, k, expected in cases:
+            assert enumerate_P(phi, meas, k) == expected

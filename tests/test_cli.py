@@ -101,7 +101,7 @@ TOL_POLICY = TolerancePolicy(rank_tol=2e-9, active_tol=3e-7, margin_tol=4e-8, si
 
 
 @pytest.mark.parametrize("argv, owner, name", [
-    (["decode", "--matrix", "PHI", "--y", "Y"], cli, "one_bit_bp"),
+    (["decode", "--matrix", "PHI", "--y", "Y"], cli, "is_consistent"),
     (["certify", "--matrix", "PHI", "--y", "Y"], cli, "uniqueness_certificate"),
     (["audit-relaxation", "--matrix", "PHI", "--y", "Y"], cli, "relaxation_consistency"),
     (["oracle", "--matrix", "PHI", "--y", "Y"], oracle, "l0_min"),

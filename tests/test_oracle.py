@@ -184,7 +184,7 @@ class TestYkEnumeration:
         a = np.vstack([np.random.default_rng(7).normal(size=(6, 3)), np.eye(3)])
         qr, bases = np.linalg.qr, []
         monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: bases.append(1) or qr(*args, **kw))
-        signs = _face_signs(a)
+        _, signs = _face_signs(a)
         assert len(bases) == 9 + 36
         assert len({row.tobytes() for row in signs}) == len(signs) == _generic_face_count(9, 3)
 
