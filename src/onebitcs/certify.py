@@ -14,15 +14,18 @@ Three layers:
 
 Every "strictly positive / strictly less than 1" requirement is decided by
 maximizing a common margin and comparing against margin_tol; nothing is
-perturbed by hand-picked epsilons.  The margin comes from an LP, except in
-two cases where the constraints leave one candidate, so the optimum is
-read off in closed form: the membership of a one-column support (the
-margin grows with the one coordinate, up to its cap), and a restriction
-pair whose kept stack H is square and of full rank (H.T w = s fixes the
-witness).  Membership skips its LP in two more cases: the signs refute
-a support (margin 0), or the sign point x_S = s already clears
-margin_tol, a lower bound on the optimum that settles the verdict.  The
-rank test of a one-column kept stack is a nonzero test.
+perturbed by hand-picked epsilons, except that the elimination below
+reads an entry within 1e-12 of the size of its terms as the 0 it is up to
+rounding.  The margin comes from an LP, except
+where the constraints leave little to optimize: the membership of a
+one-column support is read off in closed form (the margin grows with the
+one coordinate, up to its cap), and a restriction pair whose full-rank
+kept stack H leaves the witness |K| - |S| <= 2 free directions (H.T w = s
+fixes the rest) gets the witness LP's optimum by eliminating them.
+Membership skips its LP in two more cases: the signs refute a support
+(margin 0), or the sign point x_S = s already clears margin_tol, a lower
+bound on the optimum that settles the verdict.  The rank test of a
+one-column kept stack is a nonzero test.
 
 The measurements that carry each pattern come from one walk over the
 faces of each support's arrangement; each face is confirmed by its own
@@ -64,8 +67,8 @@ WRT_Y_MAX_SIGNED_ROWS = 12
 WRT_Y_MAX_COLS = 10
 # (max rows, max columns) of rrsp_order_k per sparsity.  Dense necessary
 # sweeps are the slowest: on default_rng(0, 1, 7) normals, 8x8 at k = 2 took
-# 2.2-4.6 s, 6x6 at k = 3 0.7-4.7 s and 7x6 at k = 3 1.2-13.1 s (CPU time,
-# one core of a shared 2-core machine).
+# 1.1-2.5 s, 6x6 at k = 3 0.4-1.8 s and 7x6 at k = 3 0.6-5.7 s (CPU time,
+# two runs, one core of a shared 2-core machine).
 ORDER_K_MAX_SHAPE = {0: (8, 8), 1: (8, 8), 2: (8, 8), 3: (6, 6)}
 
 
@@ -211,31 +214,53 @@ def _sign_witness_margin(phi: np.ndarray, s_plus, s_minus, roles: _Roles,
     return cert.t_star >= tol.margin_tol, witness, float(cert.t_star)
 
 
-def _square_witness_margin(phi: np.ndarray, h: np.ndarray, s_plus, s_minus,
-                           roles: _Roles, tol: TolerancePolicy
-                           ) -> tuple[bool, RrspWitness | None, float]:
-    """_sign_witness_margin's answer when the kept stack h (_kept_stack of
-    the same roles) is square and of full rank.
+def _eliminated_witness_margin(phi: np.ndarray, h: np.ndarray, s_plus, s_minus,
+                               roles: _Roles) -> float:
+    """_sign_witness_margin's optimum, by Fourier-Motzkin elimination, for a
+    kept stack h (_kept_stack of the same roles) of full column rank.
 
-    The equalities on the support read h.T @ w_K = s over the kept rows K,
-    since the pinned entries are zero; so w_K = h^-T s is the only witness
-    and nothing is left to optimize.  The LP's optimum is then
-    min(1, w on pos, -w on neg, 1 - max |eta| off the support), and the LP
-    is infeasible exactly when that is negative, reported as -1.0 with no
-    witness, as the LP reports it.
+    The support equalities read h.T @ w_K = s (pinned entries are zero), so
+    w_K = w0 + N z over d = |K| - |S| free directions, w0 and N on the |S|
+    rows B of h with the largest |det h_B| (so |N| <= 1) and each other row
+    its own direction.  Each LP row reads t <= beta + alpha . z: w on pos,
+    -w on neg, 1 -/+ eta off the support, and the cap t <= 1.  Eliminating
+    a coordinate keeps the rows with alpha = 0 and adds, for each pair
+    alpha_p > 0 > alpha_q, the convex combination (alpha_p row_q - alpha_q
+    row_p) / (alpha_p - alpha_q).  Rounding leaves about 1e-16 of the size
+    of its terms where an entry is 0 exactly, which would drop a row that
+    caps t; so an entry of N below 1e-12 reads as 0, as does an alpha
+    within 1e-12 of its size (|phi|.T |N| off the support, carried beside
+    alpha).  The optimum is the least beta left, or -1.0 (infeasible, as
+    the LP reports it) if negative.  Each step can square the row count.
     """
-    m, n = phi.shape
     s = np.array([1.0] * len(s_plus) + [-1.0] * len(s_minus))
-    w = np.zeros(m)
-    w[np.concatenate([roles.pos, roles.neg, roles.free])] = np.linalg.solve(h.T, s)
-    eta = phi.T @ w
-    off = np.ones(n, dtype=bool)
+    kept = np.concatenate([roles.pos, roles.neg, roles.free])
+    d = h.shape[0] - h.shape[1]
+    subsets = np.array(list(combinations(range(len(h)), h.shape[1])))
+    basic = subsets[np.abs(np.linalg.det(h[subsets])).argmax()]
+    other = np.ones(len(h), dtype=bool)
+    other[basic] = False
+    # Columns of w and of every row: beta, alpha over z, the sizes of alpha.
+    w = np.zeros((len(phi), 2 * d + 1))
+    w[kept[basic], :d + 1] = np.column_stack([np.linalg.solve(h[basic].T, v)
+                                              for v in (s, *-h[other])])
+    w[kept[other], 1:d + 1] = np.eye(d)
+    w[:, d + 1:] = np.abs(w[:, 1:d + 1])
+    w[:, 1:d + 1][w[:, d + 1:] <= 1e-12] = 0.0
+    # eta of w0 as a vector product, so that d = 0 keeps its bits.
+    eta = np.column_stack([phi.T @ w[:, 0], phi.T @ w[:, 1:d + 1], np.abs(phi).T @ w[:, d + 1:]])
+    off, cap = np.ones(phi.shape[1], dtype=bool), np.eye(1, 2 * d + 1)
     off[_columns(s_plus, s_minus)] = False
-    t = float(np.concatenate([w[roles.pos], -w[roles.neg],
-                              1.0 - np.abs(eta[off])]).min(initial=1.0))
-    if t < 0.0:
-        return False, None, -1.0
-    return t >= tol.margin_tol, RrspWitness(eta=eta, w=w, margin=t), t
+    rows = np.concatenate([w[roles.pos], -w[roles.neg], cap - eta[off], cap + eta[off], cap])
+    np.abs(rows[:, d + 1:], out=rows[:, d + 1:])  # sizes, which the negations flipped
+    for c in range(1, d + 1):
+        alpha = np.where(np.abs(rows[:, c]) <= 1e-12 * rows[:, d + c], 0.0, rows[:, c])
+        p, q = rows[alpha > 0.0], rows[alpha < 0.0]
+        ap, aq = p[:, c, None, None], q[None, :, c, None]
+        mixed = (ap * q[None] - aq * p[:, None]) / (ap - aq)
+        rows = np.concatenate([rows[alpha == 0.0], mixed.reshape(-1, 2 * d + 1)])
+    t = float(rows[:, 0].min())
+    return -1.0 if t < 0.0 else t
 
 
 def witness_is_valid(phi, witness: RrspWitness, s_plus, s_minus, pos_rows,
@@ -606,21 +631,20 @@ def _mirror_memo(twins: dict, key: tuple, compute):
 def _pair_test(phi: np.ndarray, meas: SignMeasurement, sp, sm, pair: TPair,
                tol: TolerancePolicy) -> tuple[bool, float] | None:
     """(holds, margin) of the witness LP under one restriction pair, or None
-    when the kept rows lose column rank and the LP is skipped.  A square
-    kept stack of full rank fixes the witness, so its margin is read off
-    the one solution of H.T w = s (_square_witness_margin) instead.  A
-    one-column stack has full rank exactly when it has a nonzero entry:
-    column_rank's threshold, rank_tol * max |h|, lies below max |h|, so
-    that is its answer without the row reduction."""
+    when the kept rows lose column rank and the LP is skipped; a full-rank
+    kept stack of at most |S| + 2 rows takes _eliminated_witness_margin's
+    answer instead.  A one-column stack has full rank exactly when it has a
+    nonzero entry (column_rank's threshold, rank_tol * max |h|, lies below
+    max |h|), so that is its answer without the row reduction."""
     roles = _row_roles(meas, pair.t1, pair.t2)
     h = _kept_stack(phi, roles, sp, sm)
     full_rank = h.any() if h.shape[1] == 1 else column_rank(h, tol) == h.shape[1]
     if not full_rank:
         return None
-    if h.shape[0] == h.shape[1]:
-        holds, _, margin = _square_witness_margin(phi, h, sp, sm, roles, tol)
-    else:
-        holds, _, margin = _sign_witness_margin(phi, sp, sm, roles, tol)
+    if h.shape[0] <= h.shape[1] + 2:
+        margin = _eliminated_witness_margin(phi, h, sp, sm, roles)
+        return margin >= tol.margin_tol, margin
+    holds, _, margin = _sign_witness_margin(phi, sp, sm, roles, tol)
     return holds, margin
 
 
@@ -706,10 +730,11 @@ def rrsp_wrt_y(phi, y, k: int, variant: str,
     return (False, []) if found is None else (True, [found])
 
 
-def _sign_faces(phi: np.ndarray, k: int, tol: TolerancePolicy
+def _sign_faces(phi: np.ndarray, k: int, tol: TolerancePolicy, carried: np.ndarray | None = None
                 ) -> dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple[int, ...]]]:
     """Sorted nonzero measurements y that carry each nonempty signed
-    pattern of size at most k <= n, as membership_P decides carrying.
+    pattern of size at most k <= n, as membership_P decides carrying; a
+    given nonzero measurement `carried` keeps only the faces whose y it is.
 
     Each face of phi_S with the k coordinate rows appended, over every
     support S of size k, gives a pair (y, pattern) = (sign(phi_S z),
@@ -725,7 +750,8 @@ def _sign_faces(phi: np.ndarray, k: int, tol: TolerancePolicy
     for supp in combinations(range(n), k):
         block = phi[:, list(supp)]
         z, faces = _face_signs(np.vstack([block, np.eye(k)]))
-        keep = faces[:, :m].any(axis=1)  # y != 0 puts z, and so sign(z), off 0
+        # y != 0 puts z, and so sign(z), off 0.
+        keep = faces[:, :m].any(axis=1) if carried is None else (faces[:, :m] == carried).all(1)
         y, s = faces[keep, :m], faces[keep, m:]
         x = np.where(s != 0, z[keep], 0.0)
         x /= np.abs(x).max(axis=1, keepdims=True, initial=0.0)

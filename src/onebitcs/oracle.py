@@ -257,7 +257,7 @@ def l0_min(phi, y, k_max: int | None = None,
     return SparsestSet(value=math.inf, witnesses=[])
 
 
-def _faces(phi: np.ndarray, k: int, tol: TolerancePolicy) -> dict:
+def _faces(phi: np.ndarray, k: int, tol: TolerancePolicy, carried=None) -> dict:
     """_sign_faces, refused before any work when its path count C(n, k)
     (m + k)^k, m + k hyperplanes at each of k levels, exceeds YK_BUDGET."""
     m, n = phi.shape
@@ -266,7 +266,7 @@ def _faces(phi: np.ndarray, k: int, tol: TolerancePolicy) -> dict:
         raise ValueError(
             f"sign-image walk needs {count} hyperplane paths, beyond the budget of "
             f"{YK_BUDGET}; instance too large for the oracle")
-    return _sign_faces(phi, k, tol)
+    return _sign_faces(phi, k, tol, carried)
 
 
 def enumerate_P(phi, y, k: int,
@@ -274,9 +274,9 @@ def enumerate_P(phi, y, k: int,
                 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All nonempty signed supports of size <= k realized by consistent
     signals, in (size, support, signs) lexicographic order: the patterns
-    of the confirmed faces that carry y, walked over the supports of size
-    min(k, n).  k must be nonnegative and y nonzero; refuses walks beyond
-    YK_BUDGET."""
+    of the faces that carry y, walked over the supports of size min(k, n);
+    only the faces whose sign row is y are confirmed.  k must be
+    nonnegative and y nonzero; refuses walks beyond YK_BUDGET."""
     pol = tol or DEFAULT_TOLERANCES
     phi = as_matrix(phi)
     n = phi.shape[1]
@@ -285,9 +285,8 @@ def enumerate_P(phi, y, k: int,
         raise ValueError("pattern enumeration is undefined for the zero measurement")
     if k < 0:
         raise ValueError(f"sparsity must be nonnegative, got {k}")
-    faces = _faces(phi, min(k, n), pol)
-    carried = tuple(meas.y.tolist())
-    return [p for p in _signed_patterns(n, min(k, n)) if carried in faces.get(p, ())]
+    faces = _faces(phi, min(k, n), pol, meas.y)
+    return [p for p in _signed_patterns(n, min(k, n)) if p in faces]
 
 
 def enumerate_Yk(phi, k: int, tol: TolerancePolicy | None = None

@@ -2,6 +2,7 @@
 
     python3 tests/data/make_lp_digests.py            # writes tests/data/lp_digests.json
     python3 tests/data/make_lp_digests.py --per-lp   # prints every LP's digest as JSON
+    python3 tests/data/make_lp_digests.py --subsequence-of PARENT.json
 
 The corpus holds seeded LPs of every family the library builds: the
 witness-margin (_sign_witness_margin), membership-margin (_membership_margin)
@@ -14,8 +15,11 @@ them; a family's digest is the SHA-256 of its LPs' digests in turn.
 tests/test_lp_digests.py recomputes the corpus and requires every
 family's digest to equal the recorded one.  --per-lp prints
 {family: [hex digest of each LP, in solve order]} instead of writing the
-file, so two checkouts can be compared LP by LP, e.g. to show that a
-change only drops LPs from a family and leaves the rest bit-identical.
+file, so two checkouts can be compared LP by LP.  --subsequence-of reads
+such a --per-lp output, saved from another checkout, and reports per
+family whether this checkout's digests equal it, form an ordered
+subsequence of it (the change only dropped LPs and left the rest
+bit-identical), or differ; it exits 1 when some family differs.
 
 The recorded file pins the solver's pivots: a change that is meant to leave
 every pivot and every returned bit alone must leave it unchanged.  Rerun
@@ -149,6 +153,27 @@ def per_lp_digests() -> dict[str, list[bytes]]:
     return dict(sorted(seen.items()))
 
 
+def _is_subsequence(part: list[str], whole: list[str]) -> bool:
+    rest = iter(whole)
+    return all(d in rest for d in part)
+
+
+def compare_with(parent: dict[str, list[str]]) -> dict[str, str]:
+    """{family: "equal" | "subsequence (kept i of j)" | "differs"} of this
+    checkout's per-LP digests against a saved --per-lp output."""
+    now = {name: [d.hex() for d in ds] for name, ds in per_lp_digests().items()}
+    verdicts = {}
+    for name in sorted(set(now) | set(parent)):
+        mine, theirs = now.get(name, []), parent.get(name, [])
+        if mine == theirs:
+            verdicts[name] = "equal"
+        elif _is_subsequence(mine, theirs):
+            verdicts[name] = f"subsequence (kept {len(mine)} of {len(theirs)})"
+        else:
+            verdicts[name] = "differs"
+    return verdicts
+
+
 def corpus_digests() -> dict[str, dict[str, object]]:
     """{family: {"lps": count, "sha256": digest}} over the seeded corpus."""
     return {name: {"lps": len(ds), "sha256": hashlib.sha256(b"".join(ds)).hexdigest()}
@@ -159,7 +184,12 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["--per-lp"]:
         print(json.dumps({name: [d.hex() for d in ds]
                           for name, ds in per_lp_digests().items()}, indent=2))
+    elif len(sys.argv) == 3 and sys.argv[1] == "--subsequence-of":
+        verdicts = compare_with(json.loads(Path(sys.argv[2]).read_text(encoding="utf-8")))
+        for name, verdict in verdicts.items():
+            print(f"{name}: {verdict}")
+        sys.exit(1 if "differs" in verdicts.values() else 0)
     elif sys.argv[1:]:
-        sys.exit(f"usage: {sys.argv[0]} [--per-lp]")
+        sys.exit(f"usage: {sys.argv[0]} [--per-lp | --subsequence-of PARENT.json]")
     else:
         DIGESTS.write_text(json.dumps(corpus_digests(), indent=2) + "\n", encoding="utf-8")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -18,14 +19,15 @@ from onebitcs.certify import (
     RrspEvidence,
     RrspWitness,
     TPair,
+    _eliminated_witness_margin,
     _kept_stack,
     _membership_margin,
     _pair_evidence,
+    _pair_test,
     _row_roles,
     _sign_faces,
     _sign_witness_margin,
     _signed_patterns,
-    _square_witness_margin,
     _tpairs,
     membership_P,
     pattern_witness,
@@ -602,44 +604,103 @@ class TestClosedForms:
                             kinds["fractional"] += 1
         assert min(kinds.values()) >= 10, kinds
 
-    def test_square_stack_witness_matches_its_lp(self):
-        """Every full-rank restriction pair whose kept stack is square, over
-        patterns of size at most 2, and a hand-made 1x2 instance whose
-        pattern {0} has the margin 2^-27, in (0, margin_tol)."""
+    def test_eliminated_witness_matches_its_lp(self):
+        """Every full-rank restriction pair whose kept stack leaves at most two
+        free directions (d = |K| - |S|), over patterns of size at most 2
+        under the refutation cases and the measurements of a 1-sparse and a
+        dense signal on each criterion-5 matrix, a hand-made 1x2 instance
+        whose pattern {0} has the margin 2^-27, in (0, margin_tol), and a
+        3x3 one whose directions differ in scale by 1e13."""
         tol = DEFAULT_TOLERANCES
         tiny = np.array([[1.0, 1.0 - 2.0 ** -27]])
-        cases = [(phi, meas, _signed_patterns(phi.shape[1], 2))
-                 for phi, meas in _refutation_cases()]
+        # Under y = (1, 0, 0), pattern {0} leaves w_1 and w_2 free, and
+        # eta_1 = 1e13 w_1 while eta_2 = w_0 + w_2.  A rounding cut-off taken
+        # over both directions at once read the +-1 of w_2 as 0 and the
+        # margin as 0.0; the optimum is 1.0, at w = (1, 0, -1).
+        spread = np.array([[1.0, 0.0, 1.0], [0.0, 1e13, 0.0], [0.0, 0.0, 1.0]])
+        roles = _row_roles(SignMeasurement.from_y([1, 0, 0]), (), ())
+        h = _kept_stack(spread, roles, (0,), ())
+        assert _eliminated_witness_margin(spread, h, (0,), (), roles) == 1.0
+        rng = np.random.default_rng(34)
+        cases = _refutation_cases()
+        for phi in _criterion5_family(2, 3):
+            for size in (1, phi.shape[1]):
+                x = np.zeros(phi.shape[1])
+                x[rng.choice(x.size, size=size, replace=False)] = rng.normal(size=size)
+                cases.append((phi, SignMeasurement.from_y(sign_standard(phi @ x))))
+        cases = [(phi, meas, _signed_patterns(phi.shape[1], 2)) for phi, meas in cases]
         cases.append((tiny, SignMeasurement.from_y([1]), [((0,), ())]))
-        margins = []
+        cases.append((spread, SignMeasurement.from_y([1, 0, 0]), [((0,), ())]))
+        margins, dirs = [], []
         for phi, meas, patterns in cases:
             for sp, sm in patterns:
                 for pair in _tpairs(meas):
                     roles = _row_roles(meas, pair.t1, pair.t2)
                     h = _kept_stack(phi, roles, sp, sm)
-                    if h.shape[0] != h.shape[1] or column_rank(h) < h.shape[1]:
+                    d = h.shape[0] - h.shape[1]
+                    if d > 2 or column_rank(h) < h.shape[1]:
                         continue
-                    holds, witness, margin = _square_witness_margin(phi, h, sp, sm, roles, tol)
-                    ref_holds, ref_witness, ref_margin = _sign_witness_margin(
-                        phi, sp, sm, roles, tol)
-                    assert holds == ref_holds
-                    assert math.isclose(margin, ref_margin, rel_tol=1e-12)
-                    assert (witness is None) == (ref_witness is None)
-                    if witness is not None:
-                        np.testing.assert_allclose(witness.w, ref_witness.w, atol=1e-9)
-                        assert witness_is_valid(phi, witness, sp, sm, roles.pos,
-                                                roles.neg, roles.pinned)
+                    margin = _eliminated_witness_margin(phi, h, sp, sm, roles)
+                    ref_holds, _, ref_margin = _sign_witness_margin(phi, sp, sm, roles, tol)
+                    assert (margin >= tol.margin_tol) == ref_holds
+                    assert math.isclose(margin, ref_margin, rel_tol=1e-12), (margin, ref_margin)
                     margins.append(margin)
-        assert margins.count(1.0) >= 1
-        assert margins.count(-1.0) >= 1
+                    dirs.append(d)
+        assert min(dirs.count(d) for d in (0, 1, 2)) >= 100, [dirs.count(d) for d in (0, 1, 2)]
+        assert margins.count(1.0) >= 10
+        assert margins.count(-1.0) >= 10
         assert any(0.0 < t < tol.margin_tol for t in margins)
         # Pattern {1} of the same instance needs eta_0 = 1 / (1 - 2^-27) > 1
         # off its support, so no witness exists.  The LP accepts a point
         # breaking |eta_0| <= 1 by 7.5e-9 within its feasibility tolerance
-        # and reads 0.0; the closed form reads -1.0.
-        roles = _row_roles(SignMeasurement.from_y([1]), (), ())
-        h = _kept_stack(tiny, roles, (1,), ())
-        assert _square_witness_margin(tiny, h, (1,), (), roles, tol) == (False, None, -1.0)
+        # and reads 0.0; the elimination reads -1.0, at d = 0 and, with a
+        # zero row appended as a free direction, at d = 1.
+        for phi, y in ((tiny, [1]), (np.vstack([tiny, [0.0, 0.0]]), [1, 0])):
+            roles = _row_roles(SignMeasurement.from_y(y), (), ())
+            h = _kept_stack(phi, roles, (1,), ())
+            assert _eliminated_witness_margin(phi, h, (1,), (), roles) == -1.0
+            assert _sign_witness_margin(phi, (1,), (), roles, tol)[2] == 0.0
+        assert h.shape == (2, 1)
+
+    def test_eliminated_witness_is_exact_on_wide_scales(self):
+        """On matrices whose columns are scaled by 1e-6 to 1e7, the elimination
+        agrees with itself in rational arithmetic (_exact_witness_margin)
+        on every full-rank pair with d <= 2 over patterns of size at most
+        2: equal holds, and margins within 1e-5.  Rounding in w0 and N
+        grows with the spread of the scales (to 1.5e-6 here), but a
+        coefficient misread as 0 or as nonzero moves a margin by far more:
+        a rounding cut-off taken per direction, from its largest |alpha|,
+        read 1.0 and 0.99 on three pairs whose optimum is -1.0.  The
+        witness LP is no reference here: its tolerances scale with the
+        entries, and it reads -1.0 on some pairs whose exact optimum is 1.0."""
+        tol = DEFAULT_TOLERANCES
+        rng = np.random.default_rng(5)
+        margins, dirs = [], []
+        for trial in range(6):
+            m, n = int(rng.integers(3, 6)), int(rng.integers(2, 5))
+            base = (rng.integers(-1, 2, size=(m, n)).astype(float) if trial % 2
+                    else rng.normal(size=(m, n)))
+            phi = base * 10.0 ** rng.uniform(-6, 7, size=n)
+            for _ in range(2):
+                meas = SignMeasurement.from_y(rng.integers(-1, 2, size=m))
+                if meas.is_zero():
+                    continue
+                for sp, sm in _signed_patterns(n, 2):
+                    for pair in _tpairs(meas):
+                        roles = _row_roles(meas, pair.t1, pair.t2)
+                        h = _kept_stack(phi, roles, sp, sm)
+                        d = h.shape[0] - h.shape[1]
+                        if d > 2 or column_rank(h) < h.shape[1]:
+                            continue
+                        margin = _eliminated_witness_margin(phi, h, sp, sm, roles)
+                        exact = _exact_witness_margin(phi, sp, sm, roles)
+                        assert (margin >= tol.margin_tol) == (exact >= tol.margin_tol)
+                        assert abs(margin - exact) <= 1e-5, (margin, exact)
+                        margins.append(exact)
+                        dirs.append(d)
+        assert min(dirs.count(d) for d in (0, 1, 2)) >= 50, [dirs.count(d) for d in (0, 1, 2)]
+        assert margins.count(-1.0) >= 10 and margins.count(1.0) >= 10
+        assert sum(0.0 <= t < 1.0 for t in margins) >= 10
 
     def test_one_column_rank_is_a_nonzero_test(self):
         """column_rank of a one-column stack is 1 exactly when the column has
@@ -662,28 +723,78 @@ class TestClosedForms:
         assert nonzero >= 1000 and len(stacks) - nonzero >= 100
 
     def test_closed_forms_skip_their_lps(self, monkeypatch):
-        """Each one-column membership and each square kept stack costs no
-        LP.  On eye(3) at k = 1 the three membership LPs go and the three
-        witness LPs (tall stacks) stay; on the seeded 3x3 below, the pair
-        stream of one two-column pattern has four full-rank pairs, three of
-        them square, and solves one LP."""
+        """Each one-column membership and each full-rank kept stack with at
+        most two free directions costs no LP.  On eye(3) at k = 1 every
+        membership and every witness LP goes; on the seeded 3x3 below, the
+        pair stream of one two-column pattern has four full-rank pairs,
+        three of them square, and solves none.  A one-column pattern under
+        four signed rows keeps three free directions and solves its LP; with
+        one row pinned it keeps two and solves none.  The margin is
+        1 / sum(phi) over the kept rows, where every w_i equals it."""
         calls = []
         real = lp.max_margin_feasibility
         monkeypatch.setattr(lp, "max_margin_feasibility",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         assert rrsp_order_k(np.eye(3), 1, SUFFICIENT)[0]
-        assert len(calls) == 3
+        assert calls == []
 
         rng = np.random.default_rng(1406)
         phi = rng.normal(size=(3, 3))
         meas = SignMeasurement.from_y(sign_standard(phi @ rng.normal(size=3)))
-        calls.clear()
         evidence = list(_pair_evidence(phi, meas, (0,), (1,), DEFAULT_TOLERANCES, {}))
         kept = [meas.j_plus.size - len(ev.tpair.t1) + meas.j_minus.size
                 - len(ev.tpair.t2) + meas.j_zero.size for ev in evidence]
-        square = kept.count(2)
-        assert (len(evidence), square) == (4, 3)
-        assert len(calls) == len(evidence) - square
+        assert (len(evidence), kept.count(2)) == (4, 3)
+        assert calls == []
+
+        phi = np.arange(1.0, 5.0)[:, None]
+        meas = SignMeasurement.from_y([1, 1, 1, 1])
+        for pair, lps, margin in ((TPair((), ()), 1, 1 / 10), (TPair((0,), ()), 0, 1 / 9)):
+            calls.clear()
+            holds, t = _pair_test(phi, meas, (0,), (), pair, DEFAULT_TOLERANCES)
+            assert holds and t == pytest.approx(margin, rel=1e-12)
+            assert len(calls) == lps
+
+
+def _exact_witness_margin(phi, s_plus, s_minus, roles) -> float:
+    """The witness LP's optimum by Fourier-Motzkin elimination in rational
+    arithmetic on phi's float entries: w_K = w0 + N z from the reduced row
+    echelon form of [h.T | s] (h of full column rank), then the rows of
+    _eliminated_witness_margin with exact sign tests."""
+    cols = list(s_plus) + list(s_minus)
+    kept = np.concatenate([roles.pos, roles.neg, roles.free]).tolist()
+    a = [[Fraction(phi[i, j]) for i in kept] + [Fraction(1 if j in s_plus else -1)]
+         for j in cols]
+    pivots = []
+    for c in range(len(kept)):
+        k = len(pivots)
+        r = next((r for r in range(k, len(a)) if a[r][c] != 0), None)
+        if r is not None:
+            a[k], a[r] = a[r], a[k]
+            a[k] = [v / a[k][c] for v in a[k]]
+            a = [row if i == k else [v - row[c] * u for v, u in zip(row, a[k])]
+                 for i, row in enumerate(a)]
+            pivots.append(c)
+    free = [c for c in range(len(kept)) if c not in pivots]
+    d = len(free)
+    w = {i: [Fraction(0)] * (d + 1) for i in kept}
+    for f, c in enumerate(free):
+        w[kept[c]][1 + f] = Fraction(1)
+    for k, c in enumerate(pivots):
+        w[kept[c]] = [a[k][-1]] + [-a[k][c2] for c2 in free]
+    cap = [Fraction(1)] + [Fraction(0)] * d
+    rows = [w[i] for i in roles.pos.tolist()] + [[-v for v in w[i]] for i in roles.neg.tolist()]
+    for j in range(phi.shape[1]):
+        if j not in cols:
+            eta = [sum(Fraction(phi[i, j]) * w[i][c] for i in kept) for c in range(d + 1)]
+            rows += [[u - v for u, v in zip(cap, eta)], [u + v for u, v in zip(cap, eta)]]
+    rows.append(cap)
+    for c in range(1, d + 1):
+        rows = [r for r in rows if r[c] == 0] + [
+            [(p[c] * q[i] - q[c] * p[i]) / (p[c] - q[c]) for i in range(d + 1)]
+            for p in rows if p[c] > 0 for q in rows if q[c] < 0]
+    t = min(r[0] for r in rows)
+    return -1.0 if t < 0 else float(t)
 
 
 def _row_sparse(rng, m: int, n: int) -> np.ndarray:
@@ -981,6 +1092,31 @@ class TestSignFaces:
                         assert enumerate_P(phi, np.array(y), k, pol) == [
                             p for p in _signed_patterns(n, k) if y in expected.get(p, ())]
         assert decided.count(True) >= 10 and decided.count(False) >= 10
+
+    def test_enumerate_P_confirms_only_its_own_faces(self, monkeypatch):
+        """At margin_tol 0.25, every membership margin that enumerate_P asks
+        for, on the matrices of the loose-policy test at k = 1 and 2, is
+        under the measurement it was given: the faces of the other
+        measurements are dropped before their confirmation."""
+        pol = TolerancePolicy(margin_tol=0.25)
+        rng = np.random.default_rng(2718)
+        matrices = [rng.normal(size=(3, 4)), rng.normal(size=(2, 3)), _row_sparse(rng, 4, 3)]
+        matrices[1][:, 1] = 0.0
+        asked = []
+        real = certify._membership_margin
+        monkeypatch.setattr(certify, "_membership_margin",
+                            lambda phi, meas, *a, **kw: asked.append(meas.y) or real(
+                                phi, meas, *a, **kw))
+        calls = 0
+        for phi in matrices:
+            for k in (1, 2):
+                for y in product((-1, 0, 1), repeat=phi.shape[0]):
+                    if any(y):
+                        asked.clear()
+                        enumerate_P(phi, np.array(y), k, pol)
+                        assert all(tuple(v.tolist()) == y for v in asked)
+                        calls += len(asked)
+        assert calls >= 20
 
     def test_fallback_rejects_a_near_threshold_face(self, fallbacks):
         """Row 0 reads 1e-9 on column 0, so a face that signs row 0 by x_0
