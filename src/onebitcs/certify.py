@@ -103,10 +103,10 @@ class CertReport:
     """Uniqueness certificate at a specific feasible signal.
 
     witness_rows holds the (pos, neg, pinned) row lists the witness was
-    built for, in the argument order of witness_is_valid.  h is the
-    boundary submatrix of the rank test: rows witness_rows[0], then
-    witness_rows[1], then the measurement's j_zero; columns s_plus, then
-    s_minus.
+    built for, in the argument order of witness_is_valid.  h_rank is the
+    rank of the boundary submatrix H, which the report does not keep: H is
+    phi on the rows witness_rows[0], then witness_rows[1], then the
+    measurement's j_zero, and on the columns s_plus, then s_minus.
     """
 
     unique: bool
@@ -115,7 +115,6 @@ class CertReport:
     rrsp_holds: bool
     margin: float
     witness: RrspWitness | None
-    h: np.ndarray
     active: ActiveSets
     s_plus: tuple[int, ...]
     s_minus: tuple[int, ...]
@@ -307,10 +306,12 @@ def uniqueness_certificate(phi, y, x,
     exists and the boundary submatrix has full column rank: the
     restriction-pair test of the sweeps at the point's own pair.
 
-    h is that boundary submatrix H: rows witness_rows[0] (the active rows
-    of j_plus), then witness_rows[1] (the active rows of j_minus), then
-    j_zero; columns s_plus, then s_minus (the positive, then negative
-    support of x).  h_rank is its rank.  rrsp_holds, margin and witness
+    h_rank is the rank of that boundary submatrix H, and h_full_rank says
+    whether it has full column rank.  The report does not keep H; it is
+    phi[np.ix_(pos + neg + j_zero, s_plus + s_minus)] with (pos, neg, _) =
+    witness_rows (the active rows of j_plus, then of j_minus), j_zero the
+    measurement's zero rows, and s_plus, s_minus the positive, then
+    negative support of x.  rrsp_holds, margin and witness
     are the pointwise RRSP test: the best-margin dual witness that is
     strictly signed on the active rows, zero on the inactive signed rows
     and free on j_zero.
@@ -341,7 +342,6 @@ def uniqueness_certificate(phi, y, x,
         rrsp_holds=bool(holds),
         margin=float(margin),
         witness=witness,
-        h=h,
         active=acts,
         s_plus=tuple(int(j) for j in sp),
         s_minus=tuple(int(j) for j in sm),

@@ -7,8 +7,9 @@
 The corpus holds seeded LPs of every family the library builds: the
 witness-margin (_sign_witness_margin), membership-margin (_membership_margin)
 and l0_min LPs of a criterion-5 family of small matrices, the
-relaxation_consistency and relaxation_gd LPs, one_bit_bp at 8x16 and 20x40,
-and alternative_optimum; and small LPs whose ratio tests see near-ties.
+relaxation_consistency and relaxation_gd LPs, one_bit_bp at 8x16, 20x40 and
+40x80, the witness LP of uniqueness_certificate at each 40x80 decode, and
+alternative_optimum; and small LPs whose ratio tests see near-ties.
 Each LP that lp.solve answers is digested from its status, objective and
 the bytes of its primal, dual and ray, in the order the library solves
 them; a family's digest is the SHA-256 of its LPs' digests in turn.
@@ -45,7 +46,8 @@ if __name__ == "__main__":
 
 from onebitcs import certify, lp  # noqa: E402
 from onebitcs.certify import (  # noqa: E402
-    NECESSARY, STANDARD_COND, SUFFICIENT, relaxation_consistency, rrsp_order_k, rrsp_wrt_y)
+    NECESSARY, STANDARD_COND, SUFFICIENT, relaxation_consistency, rrsp_order_k, rrsp_wrt_y,
+    uniqueness_certificate)
 from onebitcs.decoders import encode_bp_lp, one_bit_bp, relaxation_gd  # noqa: E402
 from onebitcs.oracle import l0_min  # noqa: E402
 from onebitcs.signmodel import SignMeasurement, sign_nonstandard, sign_standard  # noqa: E402
@@ -75,7 +77,7 @@ def _criterion5_family(rng: np.random.Generator, draws: int) -> list[np.ndarray]
 
 def _workload(label) -> None:
     """The library calls whose LPs form the corpus; label(name, fn) runs fn
-    with its LPs counted under name unless an inner label claims them."""
+    with its LPs counted under name unless an outer label claims them."""
     rng = np.random.default_rng(SEED)
     for phi in _criterion5_family(rng, 4):
         y = sign_standard(phi @ _sparse_signal(rng, phi.shape[1], min(2, phi.shape[1])))
@@ -108,6 +110,13 @@ def _workload(label) -> None:
                                  rels=("<=",) * m, sense="max",
                                  b=rng.integers(0, 3, size=m) + 1e-8 * rng.standard_normal(m))
         label("near_ties", lp.solve)(near_ties)
+    # Decoder and certificate tableaux wider than 64 columns, whose pivot
+    # rows are sparse enough for lp._pivot's column-restricted update.
+    for _ in range(3):
+        phi = rng.standard_normal((40, 80))
+        y = sign_standard(phi @ _sparse_signal(rng, 80, 5))
+        sol = label("one_bit_bp_40x80", one_bit_bp)(phi, y)
+        label("uniqueness_certificate_40x80", uniqueness_certificate)(phi, y, sol.x)
 
 
 def _digest(sol: lp.LPSolution) -> bytes:
@@ -130,7 +139,7 @@ def per_lp_digests() -> dict[str, list[bytes]]:
 
     def label(name, fn):
         def run(*args, **kwargs):
-            names.append(name)
+            names.append(name if names[-1] == "unlabelled" else names[-1])
             try:
                 return fn(*args, **kwargs)
             finally:

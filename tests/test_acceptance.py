@@ -101,7 +101,7 @@ def test_criterion_3_simplex_equals_vertex_oracle_on_random_lps():
     assert optimal >= 30
 
 
-def test_criterion_4_certificate_versus_alternative_optimum_search(rank_profile):
+def test_criterion_4_certificate_versus_alternative_optimum_search(rank_profile, boundary_h):
     """300 seeded decoder instances: the uniqueness certificate and the
     20-restart second-optimum search agree at >= 99%, and any disagreement
     sits within 10x of the margin or rank-pivot tolerance."""
@@ -130,7 +130,7 @@ def test_criterion_4_certificate_versus_alternative_optimum_search(rank_profile)
         if report.unique == (not found_second):
             agree += 1
         else:
-            _, pivots = rank_profile(report.h)
+            _, pivots = rank_profile(boundary_h(phi, meas, report))
             disagreements.append({
                 "instance": done,
                 "unique": report.unique,

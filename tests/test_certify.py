@@ -54,27 +54,34 @@ MEAS = SignMeasurement.from_y(Y)
 
 
 class TestAssembleH:
-    """The boundary submatrix H that uniqueness_certificate assembles."""
+    """The boundary submatrix H whose rank uniqueness_certificate reports,
+    built from phi and the report by the boundary_h fixture."""
 
-    def test_flagship_single_active_row(self):
+    def test_flagship_single_active_row(self, boundary_h):
         rep = uniqueness_certificate(PHI, Y, np.array([1., 0., 0., 0.]))
-        assert rep.h.shape == (1, 1)
-        assert rep.h[0, 0] == -1.0
+        h = boundary_h(PHI, Y, rep)
+        assert h.shape == (1, 1)
+        assert h[0, 0] == -1.0
+        assert rep.h_rank == 1 and rep.h_full_rank
         assert rep.witness_rows == ((), (1,), (0,))
         assert rep.s_plus == (0,)
         assert rep.s_minus == ()
 
-    def test_identity_full_boundary(self):
-        h = uniqueness_certificate(np.eye(2), np.array([1, -1]), np.array([1., -1.])).h
-        np.testing.assert_array_equal(h, np.eye(2))
+    def test_identity_full_boundary(self, boundary_h):
+        y = np.array([1, -1])
+        rep = uniqueness_certificate(np.eye(2), y, np.array([1., -1.]))
+        np.testing.assert_array_equal(boundary_h(np.eye(2), y, rep), np.eye(2))
+        assert rep.h_rank == 2 and rep.h_full_rank
 
-    def test_interior_point_has_empty_row_set(self):
-        h = uniqueness_certificate(np.eye(2), np.array([1, -1]), np.array([2., -2.])).h
-        assert h.shape == (0, 2)
-        assert column_rank(h) == 0
+    def test_interior_point_has_empty_row_set(self, boundary_h):
+        y = np.array([1, -1])
+        rep = uniqueness_certificate(np.eye(2), y, np.array([2., -2.]))
+        assert boundary_h(np.eye(2), y, rep).shape == (0, 2)
+        assert rep.h_rank == 0 and not rep.h_full_rank
 
-    def test_rows_and_columns_follow_the_report(self):
-        """h is phi on the witness rows then j_zero, by s_plus then s_minus."""
+    def test_rows_and_columns_follow_the_report(self, boundary_h):
+        """The matrix whose rank the certificate tests is phi on the witness
+        rows then j_zero, by s_plus then s_minus, and h_rank is its rank."""
         rng = np.random.default_rng(18)
         zero_rows = 0
         for _ in range(40):
@@ -85,11 +92,12 @@ class TestAssembleH:
             if sol.status != lp.OPTIMAL:
                 continue
             rep = uniqueness_certificate(phi, meas, sol.x)
-            pos, neg, _ = rep.witness_rows
-            j_zero = meas.j_zero.tolist()
-            zero_rows += len(j_zero)
-            np.testing.assert_array_equal(
-                rep.h, phi[np.ix_(list(pos + neg) + j_zero, list(rep.s_plus + rep.s_minus))])
+            zero_rows += meas.j_zero.size
+            h = boundary_h(phi, meas, rep)
+            roles = _row_roles(meas, rep.active.inactive_plus, rep.active.inactive_minus)
+            np.testing.assert_array_equal(h, _kept_stack(phi, roles, rep.s_plus, rep.s_minus))
+            assert rep.h_rank == column_rank(h)
+            assert rep.h_full_rank == (rep.h_rank == h.shape[1])
         assert zero_rows
 
 
@@ -189,7 +197,7 @@ class TestUniquenessCertificate:
 
 
 class TestEmpiricalUniquenessAgreement:
-    def test_certificate_tracks_alternative_search(self, rank_profile):
+    def test_certificate_tracks_alternative_search(self, rank_profile, boundary_h):
         """Certificate verdict versus the 20-restart second-optimum hunt.
 
         A short version of the full acceptance sweep: every disagreement
@@ -219,7 +227,7 @@ class TestEmpiricalUniquenessAgreement:
             else:
                 disagree += 1
                 near_margin = abs(rep.margin) <= 10 * 1e-8
-                _, pivots = rank_profile(rep.h)
+                _, pivots = rank_profile(boundary_h(phi, meas, rep))
                 near_rank = pivots.size and pivots.min() <= 10 * 1e-9
                 assert near_margin or near_rank
         assert agree >= 30

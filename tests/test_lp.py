@@ -781,3 +781,56 @@ class TestPivotRules:
                       [-1.0, 0.0]])
         state = lp._PivotState(threshold=100, max_iter=100)
         assert lp._run_phase(t, np.array([1]), 1, state) == lp.STALLED
+
+
+class TestPivotUpdate:
+    """_pivot's column-restricted update against the full rank-1 update."""
+
+    @staticmethod
+    def full_update(t, row, col):
+        """The full rank-1 update of every column, on a copy of t."""
+        t = t.copy()
+        prow = t[row]
+        prow /= prow[col]
+        colvals = t[:, col, None].copy()
+        colvals[row, 0] = 0.0
+        t -= colvals * prow
+        return t
+
+    @staticmethod
+    def tableau(width, nonzeros):
+        """Row 1 is the pivot row, nonzero on `nonzeros` columns with a
+        positive pivot in column 0; row 2 has a negative multiplier and a
+        -0.0 in the last column, where the pivot row is zero."""
+        rng = np.random.default_rng(24)
+        t = rng.standard_normal((4, width))
+        t[1] = 0.0
+        t[1, np.linspace(0, width - 2, nonzeros).astype(int)] = rng.uniform(0.5, 2.0, nonzeros)
+        t[2, 0] = -1.5
+        t[2, -1] = -0.0
+        return t
+
+    def pivoted(self, t):
+        t = t.copy()
+        basis = np.array([10, 11, 12])
+        lp._pivot(t, basis, 1, 0)
+        assert basis.tolist() == [10, 0, 12]
+        return t
+
+    def test_sparse_row_on_a_wide_tableau_skips_its_zero_columns(self):
+        width = lp._SPARSE_MIN_COLS + 16
+        t = self.tableau(width, int(lp._SPARSE_MAX_SHARE * width))
+        got, full = self.pivoted(t), self.full_update(t, 1, 0)
+        zero = t[1] == 0.0
+        # Every entry of a zero column keeps its bits, the -0.0 under a
+        # negative multiplier too, which the full update turns into +0.0.
+        assert got[:, zero].tobytes() == t[:, zero].tobytes()
+        assert np.signbit(got[2, -1]) and not np.signbit(full[2, -1])
+        assert got[:, ~zero].tobytes() == full[:, ~zero].tobytes()
+
+    @pytest.mark.parametrize("width, extra", [(lp._SPARSE_MIN_COLS, 0),
+                                              (lp._SPARSE_MIN_COLS + 16, 1)],
+                             ids=["64_columns", "row_over_a_quarter"])
+    def test_other_pivots_run_the_full_update(self, width, extra):
+        t = self.tableau(width, int(lp._SPARSE_MAX_SHARE * width) + extra)
+        assert self.pivoted(t).tobytes() == self.full_update(t, 1, 0).tobytes()

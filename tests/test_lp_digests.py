@@ -21,7 +21,7 @@ def test_every_lp_family_returns_the_recorded_bits():
     recorded = json.loads((DATA / "lp_digests.json").read_text(encoding="utf-8"))
     assert set(recorded) == {
         "witness_margin", "membership_margin", "l0_min", "relaxation_consistency",
-        "relaxation_gd", "one_bit_bp_8x16", "one_bit_bp_20x40", "alternative_optimum",
-        "near_ties"}
+        "relaxation_gd", "one_bit_bp_8x16", "one_bit_bp_20x40", "one_bit_bp_40x80",
+        "uniqueness_certificate_40x80", "alternative_optimum", "near_ties"}
     assert all(entry["lps"] > 0 for entry in recorded.values())
     assert _recorder().corpus_digests() == recorded

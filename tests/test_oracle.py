@@ -258,7 +258,7 @@ class TestAugmentationWalk:
             assert len(non_shrink) <= signed + 1
         assert walks >= 20
 
-    def test_sparsest_witness_reaches_full_rank_without_shrink(self):
+    def test_sparsest_witness_reaches_full_rank_without_shrink(self, boundary_h):
         """Starting from an l0-oracle witness the walk cannot find a sparser
         point, and its fixed point has a full-column-rank boundary matrix."""
         rng = np.random.default_rng(7)
@@ -278,7 +278,7 @@ class TestAugmentationWalk:
                 trace = active_set_augmentation(phi, y, x)
                 assert not trace.support_shrunk
                 assert trace.stack_full_rank
-                h = uniqueness_certificate(phi, meas, trace.final_x).h
+                h = boundary_h(phi, meas, uniqueness_certificate(phi, meas, trace.final_x))
                 assert column_rank(h) == h.shape[1]
                 verified += 1
         assert verified >= 10
